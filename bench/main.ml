@@ -20,18 +20,21 @@ let line = String.make 78 '-'
 let section title =
   Printf.printf "\n%s\n== %s\n%s\n" line title line
 
-let fresh_session () =
+(* [f] over a freshly booted, populated kernel and an attach to it; the
+   attach's domain pool (if any) is shut down when [f] returns. *)
+let with_fresh_session f =
   let kernel = Kstate.boot () in
   let w = Workload.create kernel in
   Workload.run w;
-  (kernel, Visualinux.attach kernel)
+  let s = Visualinux.attach kernel in
+  Fun.protect ~finally:(fun () -> Visualinux.detach s) (fun () -> f kernel s)
 
 (* ------------------------------------------------------------------ *)
 (* Table 2 *)
 
 let table2 () =
   section "Table 2: representative ULK figures ported to the simulated Linux 6.1";
-  let _, s = fresh_session () in
+  with_fresh_session @@ fun _ s ->
   Printf.printf "%-3s %-12s %-42s %5s %5s %6s %s\n" "#" "Figure" "Description" "LOC" "boxes"
     "reads" "Delta";
   let total_loc = ref 0 in
@@ -61,7 +64,7 @@ let table2 () =
 
 let table3 () =
   section "Table 3: debugging objectives via vchat (NL -> ViewQL)";
-  let _, s = fresh_session () in
+  with_fresh_session @@ fun _ s ->
   Printf.printf "%-10s %-66s %3s %7s %s\n" "Fig." "Objective" "QL" "updated" "ok";
   let all_ok = ref true in
   List.iter
@@ -112,7 +115,7 @@ type t4row = {
 }
 
 let table4_rows () =
-  let _, s = fresh_session () in
+  with_fresh_session @@ fun _ s ->
   List.map
     (fun (sc : Scripts.script) ->
       let pane, _, stats = Visualinux.plot_figure s sc in
@@ -161,7 +164,7 @@ let table4 () =
 
 let figure4 () =
   section "Figure 4: maple tree of a process address space (after ViewQL)";
-  let _, s = fresh_session () in
+  with_fresh_session @@ fun _ s ->
   let sc = Option.get (Scripts.find "9-2") in
   let pane, res, _ = Visualinux.plot_figure s sc in
   ignore
@@ -191,7 +194,7 @@ UPDATE writable_vmas WITH trimmed: true|});
 
 let figure5 () =
   section "Figure 5: CVE-2023-3269 (StackRot) trace on the simulated kernel";
-  let kernel, s = fresh_session () in
+  with_fresh_session @@ fun kernel s ->
   let ctx = kernel.Kstate.ctx in
   let target = Option.get (Kstate.find_task kernel s.Visualinux.target_pid) in
   let mm = Ksyscall.mm_of kernel target in
@@ -232,7 +235,7 @@ let figure5 () =
 
 let figure7 () =
   section "Figure 7: CVE-2022-0847 (Dirty Pipe) object graph (after ViewQL)";
-  let kernel, s = fresh_session () in
+  with_fresh_session @@ fun kernel s ->
   let ctx = kernel.Kstate.ctx in
   let task = Option.get (Kstate.find_task kernel s.Visualinux.target_pid) in
   let _, file = Ksyscall.openat kernel task ~name:"test.txt" ~size:4096 in
@@ -301,7 +304,8 @@ let scaling_sweep () =
         (Target.simulated_ms Target.qemu_local st +. stats.Visualinux.wall_ms)
         (Target.simulated_ms Target.kgdb_rpi400 st +. stats.Visualinux.wall_ms);
       assert (stats.Visualinux.reads >= !prev_reads);
-      prev_reads := stats.Visualinux.reads)
+      prev_reads := stats.Visualinux.reads;
+      Visualinux.detach s)
     [ 1; 2; 4; 8; 12 ];
   print_endline "\n(read volume grows monotonically with state size; KGDB cost scales with it)"
 
@@ -325,7 +329,7 @@ let run_bechamel tests =
 
 let microbench () =
   section "Bechamel micro-benchmarks (one per table/figure + ablations)";
-  let kernel, s = fresh_session () in
+  with_fresh_session @@ fun kernel s ->
   let ctx = kernel.Kstate.ctx in
   let tgt = s.Visualinux.target in
   let fig34 = Option.get (Scripts.find "3-4") in
@@ -461,6 +465,7 @@ let degradation ~rates ~profile ~deadline_ms ~seed =
         Printf.printf
           "       phases (wall): fetch %.2f ms, interp %.2f ms, render %.2f ms\n"
           !fetch_ms !interp_ms !render_ms;
+      Visualinux.detach s;
       (* resilience contract: every plot completes, whatever the link does *)
       assert (!failed = 0 && !plots = List.length Scripts.table2))
     rates;
@@ -545,6 +550,8 @@ let chaos ~rates ~seed =
       let cold_res =
         Viewcl.run ~cfg:cold_s.Visualinux.cfg cold_s.Visualinux.target id_sc.Scripts.source
       in
+      Visualinux.detach s;
+      Visualinux.detach cold_s;
       assert (warm = canonical cold_res.Viewcl.graph);
       Printf.printf "       cached-vs-cold identity after the storm: ok\n")
     rates;
@@ -628,6 +635,8 @@ let repeat_plot ~iters ~seed =
         (median !warm_ms) cold_f warm_f un_f
         (100. *. float_of_int !fig_hits /. float_of_int denom))
     Scripts.table2;
+  Visualinux.detach s;
+  Visualinux.detach s0;
   let cold_p50 = median !cold_all and warm_p50 = median !warm_all in
   let hit_rate =
     float_of_int !hits /. float_of_int (max 1 (!hits + !misses + !inval))
@@ -666,6 +675,12 @@ let percentile q l =
       let n = List.length sorted in
       let rank = int_of_float (ceil (q *. float_of_int n)) - 1 in
       List.nth sorted (min (n - 1) (max 0 rank))
+
+(* Shut down the domain pools the server's session attaches spawned
+   (at >= 2 domains); call once the server is no longer used. *)
+let release_fleet srv =
+  List.iter (fun sid -> Option.iter Visualinux.detach (Session.vis srv sid))
+    (Session.session_ids srv)
 
 let pane_state vis =
   List.map
@@ -897,6 +912,8 @@ let sessions_bench ~n ~rate ~rounds ~seed =
       let v'' = Option.get (Session.vis srv3 sid'') in
       assert (pane_state v' = pane_state v''))
     sids2 sids3;
+  List.iter release_fleet [ srv2; srv3 ];
+  Visualinux.detach solo;
   (* per-session latency table; the pool for the isolation gate is the
      healthy sessions (everyone but s1) in both fleets *)
   let samples tbl sid = match Hashtbl.find_opt tbl sid with Some r -> !r | None -> [] in
@@ -960,6 +977,7 @@ let sessions_bench ~n ~rate ~rounds ~seed =
         | None -> ())
       sids
   end;
+  List.iter release_fleet [ srv; srv_a ];
   (* the session-smoke gate (ISSUE 6 acceptance): the baseline fleet is
      storm-free; the storm actually tripped the breaker and was refused
      with typed rejections, not exceptions; the healthy sessions' p95
@@ -1161,6 +1179,7 @@ let campaign_bench ~file ~seed =
               r.Session.rsessions;
             Session.attach_wal srv'
               (Durable.create ~seed:(seed + 7177 + !crashes) ());
+            release_fleet !srv;
             srv := srv';
             Target.set_read_cache
               (Option.get (Session.vis srv' (List.hd sids))).Visualinux.target
@@ -1250,9 +1269,11 @@ let campaign_bench ~file ~seed =
     let canaries =
       List.fold_left (fun a sid -> a + Session.counter !srv sid "canaries") 0 sids
     in
+    let health = Session.target_health !srv home in
+    release_fleet !srv;
+    if Lazy.is_val solo then Visualinux.detach (Lazy.force solo);
     ( List.rev !phases_rev, !unhealthy, !ttr, hedged, canaries, !stale_serves, !rejections,
-      Session.target_health !srv home,
-      (!crashes, !recovered_s, !salvaged_s) )
+      health, (!crashes, !recovered_s, !salvaged_s) )
   in
   let base_phases, _, _, base_hedged, _, _, _, _, _ = run ~live:false in
   let ( phases, unhealthy, ttr, hedged, canaries, stale_serves, rejections, end_health,
@@ -1477,9 +1498,13 @@ let crash_bench ~file ~seed =
     rnd := ((!rnd * 0x5DEECE66D) + 0xB) land max_int;
     (!rnd lsr 17) mod m
   in
+  (* each recovered server is done with by the next recovery *)
+  let last = ref None in
   let recover image =
+    Option.iter release_fleet !last;
     let t0 = Unix.gettimeofday () in
     let srv' = Session.create ~capacity:n kernel in
+    last := Some srv';
     let rcv = Session.recover_durable srv' image in
     let ms = (Unix.gettimeofday () -. t0) *. 1000. in
     if Obs.enabled () then Obs.Metrics.observe "crash.recover_ms" ms;
@@ -1570,7 +1595,7 @@ let crash_bench ~file ~seed =
          a typed quarantined ghost, never a crash *)
       assert (s.Session.rsalvage = Session.Quarantined_stale))
     rcv.Session.rsessions;
-  ignore srv';
+  release_fleet srv';
   Printf.printf
     "\n%d crash points x {clean, torn, bit-flip}: %d bit-identical, %d torn-tail clean, \
      %d typed salvages, %d tail-lossy; snapshot-corruption -> %d quarantined ghosts\n"
@@ -1607,6 +1632,9 @@ type par_run = {
   pjournal : string list;  (** merged fault journal, formatted *)
   preads : int;  (** merged Target read counter *)
   pbytes : int;
+  pattempts : int;  (** wire attempts, lane forks included *)
+  psim_ms : float;  (** simulated wire ms, lane forks included *)
+  pcache : Target.cache_stats;  (** merged read-cache counters *)
   pfired : int;  (** chaos mutations fired (serial + per-lane) *)
   pwall_ms : float;  (** total plot wall across the figure set *)
   pbusy : float list;  (** per-lane busy times (1-pool: serial lane costs) *)
@@ -1670,10 +1698,13 @@ let par_run ~pool_size ~seed ~chaos_rate ~inject () =
   if c <> None then Workload.Chaos.disarm tgt;
   if inject then Kmem.clear_injection kernel.Kstate.ctx.Kcontext.mem;
   let st = Target.stats tgt in
+  let sn = Transport.snapshot tr in
   let r =
     { prenders = List.rev !renders;
       pjournal = List.map Target.fault_to_string (Target.faults tgt);
       preads = st.Target.reads; pbytes = st.Target.bytes;
+      pattempts = sn.Transport.attempts; psim_ms = sn.Transport.sim_ms;
+      pcache = Target.cache_stats tgt;
       pfired =
         (match c with
         | Some c -> Workload.Chaos.fired c + Workload.Chaos.split_fired c
@@ -1682,6 +1713,7 @@ let par_run ~pool_size ~seed ~chaos_rate ~inject () =
       ptasks = Viewcl.Dpool.executed pool; psteals = Viewcl.Dpool.steals pool }
   in
   Viewcl.Dpool.shutdown pool;
+  Visualinux.detach s;
   r
 
 let par_bench ~domains ~seed =
@@ -1709,6 +1741,8 @@ let par_bench ~domains ~seed =
       assert (r1.prenders = rn.prenders);
       assert (r1.pjournal = rn.pjournal);
       assert (r1.preads = rn.preads && r1.pbytes = rn.pbytes);
+      assert (r1.pattempts = rn.pattempts && r1.psim_ms = rn.psim_ms);
+      assert (r1.pcache = rn.pcache);
       assert (r1.pfired = rn.pfired);
       let m = Viewcl.Dpool.model_speedup ~domains ~serial_ms:r1.pwall_ms r1.pbusy in
       let busy = List.fold_left ( +. ) 0. r1.pbusy in
@@ -1736,6 +1770,7 @@ let par_bench ~domains ~seed =
                   .Viewcl.graph)
             Scripts.table2
         in
+        Visualinux.detach s;
         assert (seq = r1.prenders)
       end)
     [ ("plain", None, false); ("chaos-storm", Some 0.3, false); ("inject", None, true) ];

@@ -77,6 +77,10 @@ let attach ?target_pid ?transport ?target kernel =
   { kernel; target; panel = Panel.create (); cfg = config (); target_pid = pid;
     caches = Hashtbl.create 8; pool }
 
+(** Release what {!attach} spawned: shut down the session's domain pool,
+    if it has one.  Idempotent; plot nothing through [s] afterwards. *)
+let detach s = Option.iter Viewcl.Dpool.shutdown s.pool
+
 let set_target_pid s pid =
   s.target_pid <- pid;
   Target.add_macro s.target "target_pid" pid

@@ -137,7 +137,8 @@ val open_session :
 
 val close_session : server -> sid -> unit
 (** Idempotent; a closed prober or probation entry is dropped from its
-    target's recovery bookkeeping. *)
+    target's recovery bookkeeping, and the session's attach is
+    {!Visualinux.detach}ed. *)
 
 val session_ids : server -> sid list
 val session_name : server -> sid -> string option

@@ -34,6 +34,8 @@ type fault =
    section only, giving per-box granularity to the retry layer. *)
 type section = { sec_start : int; sec_pages : (int, int) Hashtbl.t }
 
+module Pages = Map.Make (Int)
+
 type t = {
   kmem : Kmem.t;
   reg : Ctype.registry;
@@ -54,8 +56,9 @@ type t = {
   (* Generation-validated read cache (transport-avoidance only): page
      index -> Kmem page generation at fill.  A lookup is a hit when
      every page of the read still carries its fill-time generation; any
-     Kmem write bumps the page's generation, invalidating lazily. *)
-  rcache : (int, int) Hashtbl.t;
+     Kmem write bumps the page's generation, invalidating lazily.
+     Persistent, so a lane fork snapshots it in O(1). *)
+  mutable rcache : int Pages.t;
   mutable cache_on : bool;
   mutable ch_hits : int;
   mutable ch_misses : int;
@@ -79,7 +82,7 @@ let create kmem reg =
     read_hook = None;
     in_hook = false;
     hook_fork = None;
-    rcache = Hashtbl.create 1024;
+    rcache = Pages.empty;
     cache_on = true;
     ch_hits = 0;
     ch_misses = 0;
@@ -302,7 +305,7 @@ let pages_fresh t a n =
   let last = (a + max n 1 - 1) lsr Kmem.page_bits in
   let rec go p =
     p > last
-    || (match Hashtbl.find_opt t.rcache p with
+    || (match Pages.find_opt p t.rcache with
        | Some g -> g = Kmem.page_generation t.kmem p && go (p + 1)
        | None -> false)
   in
@@ -310,7 +313,7 @@ let pages_fresh t a n =
 
 let fill_pages t a n =
   for p = a lsr Kmem.page_bits to (a + max n 1 - 1) lsr Kmem.page_bits do
-    Hashtbl.replace t.rcache p (Kmem.page_generation t.kmem p)
+    t.rcache <- Pages.add p (Kmem.page_generation t.kmem p) t.rcache
   done
 
 type cache_stats = { hits : int; misses : int; coalesced : int }
@@ -324,10 +327,10 @@ let reset_cache_stats t =
 
 let set_read_cache t on =
   t.cache_on <- on;
-  if not on then Hashtbl.reset t.rcache
+  if not on then t.rcache <- Pages.empty
 
 let read_cache_enabled t = t.cache_on
-let clear_read_cache t = Hashtbl.reset t.rcache
+let clear_read_cache t = t.rcache <- Pages.empty
 
 (* The cache only ever substitutes for fetches the transport would have
    served: while the link is down or the breaker is open, every read
@@ -692,10 +695,16 @@ let simulated_ms p st =
    one extraction lane: the type registry, symbol/macro/helper tables
    and allocation map are shared physically (read-only during a
    parallel region), everything mutable — journal, sinks, sections,
-   read cache, counters, hooks — is lane-local.  Combined with the
-   per-lane injection/chaos/transport streams, a lane's entire
-   execution is a deterministic function of its lane id and program
-   slice, independent of domain count and steal schedule. *)
+   read cache, counters, hooks — is lane-local.  The read cache starts
+   from the parent's page stamps as they stand at the fork (an O(1)
+   share of the persistent map; the lane's own fills extend only its
+   copy).  Forks are built on the submitting thread in program order,
+   so that snapshot is a function of the program, not of when the lane
+   runs; every stamp is still re-validated against the lane's own Kmem
+   view.  Combined with the per-lane injection/chaos/transport
+   streams, a lane's entire execution is a deterministic function of
+   its lane id and program slice, independent of domain count and
+   steal schedule. *)
 
 let fork ?(lane = 0) t =
   let kmem = Kmem.fork ~lane t.kmem in
@@ -714,10 +723,7 @@ let fork ?(lane = 0) t =
       read_hook = None;
       in_hook = false;
       hook_fork = t.hook_fork;
-      (* lanes start cold: a warm-start copy of the parent's page cache
-         would depend on when the lane actually ran — a schedule
-         dependence, exactly what the lane contract forbids *)
-      rcache = Hashtbl.create 64;
+      rcache = t.rcache;
       cache_on = t.cache_on;
       ch_hits = 0;
       ch_misses = 0;
@@ -748,9 +754,10 @@ let absorb t child =
   child.ch_misses <- 0;
   child.ch_coalesced <- 0;
   if t.cache_on then
-    Hashtbl.iter
-      (fun p g -> if Kmem.page_generation t.kmem p = g then Hashtbl.replace t.rcache p g)
-      child.rcache;
+    t.rcache <-
+      Pages.fold
+        (fun p g acc -> if Kmem.page_generation t.kmem p = g then Pages.add p g acc else acc)
+        child.rcache t.rcache;
   match (t.transport, child.transport) with
   | Some tr, Some ctr -> Transport.absorb tr ctr
   | _ -> ()

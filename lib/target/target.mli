@@ -252,20 +252,26 @@ val fork : ?lane:int -> t -> t
 (** [fork ~lane t] — a lane-local target over a {!Kmem.fork} view of
     [t]'s memory.  Shared physically (read-only during the parallel
     region): type registry, symbols, macros, helpers, allocation map.
-    Lane-local: fault journal, sinks, consistent sections, read cache
-    (starts cold — a warm copy would depend on when the lane ran),
+    Lane-local: fault journal, sinks, consistent sections,
     cache/read counters, the per-lane injection stream
     ([Kmem.fork ~lane]), a {!Transport.fork} of the transport when one
-    is attached, and a read hook derived via {!set_hook_fork}.  A
-    lane's execution is thus a deterministic function of its lane id
-    and program slice — independent of domain count and schedule. *)
+    is attached, and a read hook derived via {!set_hook_fork}.  The
+    read cache starts from [t]'s page stamps as of the fork (an O(1)
+    snapshot); the lane's own fills extend only its copy, and every
+    stamp is re-validated against the lane's Kmem view, so a page the
+    lane's chaos wrote still misses.  Build forks on the submitting
+    thread in program order: the snapshot is then a function of the
+    program, and a lane's execution a deterministic function of its
+    lane id and program slice — independent of domain count and
+    schedule. *)
 
 val is_fork : t -> bool
 
 val absorb : t -> t -> unit
 (** [absorb t child] — deterministic join: append the lane's fault
     journal after [t]'s (preserving its internal order), sum read /
-    cache counters, adopt still-valid page stamps into [t]'s read
+    cache counters, adopt the lane's page stamps that are still valid
+    against [t]'s memory (inherited ones included) into [t]'s read
     cache, fold the lane transport's accounting into [t]'s, and empty
     the child's accounting.  Call once per lane, from the joining
     thread, in lane order — that makes the merged state identical

@@ -12,6 +12,9 @@ type outcome = {
   reads : int;
   bytes : int;
   fired : int;
+  attempts : int;  (** wire attempts, lanes' forks included *)
+  sim_ms : float;
+  cache : Target.cache_stats;
 }
 
 (* One full extraction pass over a fresh kernel, mirroring the bench's
@@ -45,6 +48,7 @@ let run_figs ~pool_size ~chaos ~inject () =
   if chaos then Workload.Chaos.disarm tgt;
   if inject then Kmem.clear_injection k.Kstate.ctx.Kcontext.mem;
   let st = Target.stats tgt in
+  let sn = Transport.snapshot tr in
   let r =
     { renders;
       journal = List.map Target.fault_to_string (Target.faults tgt);
@@ -53,7 +57,10 @@ let run_figs ~pool_size ~chaos ~inject () =
       fired =
         (match c with
         | Some c -> Workload.Chaos.fired c + Workload.Chaos.split_fired c
-        | None -> 0) }
+        | None -> 0);
+      attempts = sn.Transport.attempts;
+      sim_ms = sn.Transport.sim_ms;
+      cache = Target.cache_stats tgt }
   in
   Viewcl.Dpool.shutdown pool;
   r
@@ -63,7 +70,15 @@ let check_identity name a b =
   Alcotest.(check (list string)) (name ^ ": journal") a.journal b.journal;
   Alcotest.(check int) (name ^ ": reads") a.reads b.reads;
   Alcotest.(check int) (name ^ ": bytes") a.bytes b.bytes;
-  Alcotest.(check int) (name ^ ": fired") a.fired b.fired
+  Alcotest.(check int) (name ^ ": fired") a.fired b.fired;
+  (* lanes warm-start from the parent's read cache as of submission;
+     a snapshot taken when the lane runs would move these *)
+  Alcotest.(check int) (name ^ ": wire attempts") a.attempts b.attempts;
+  Alcotest.(check (float 0.)) (name ^ ": wire ms") a.sim_ms b.sim_ms;
+  Alcotest.(check (triple int int int))
+    (name ^ ": cache hits/misses/coalesced")
+    (a.cache.Target.hits, a.cache.Target.misses, a.cache.Target.coalesced)
+    (b.cache.Target.hits, b.cache.Target.misses, b.cache.Target.coalesced)
 
 let test_identity_plain () =
   let r1 = run_figs ~pool_size:1 ~chaos:false ~inject:false () in

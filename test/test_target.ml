@@ -103,6 +103,51 @@ let test_deref_errors () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "addr_of immediate should fail"
 
+(* Lanes warm-start from the parent's read cache: a fork sees the
+   parent's page stamps as of the fork, a write since then still
+   misses, and the parent adopts the stamps the lane filled. *)
+let test_fork_warm_cache () =
+  let tgt, mem, reg = mk () in
+  Target.set_transport tgt (Transport.create ~seed:1 Target.kgdb_rpi400);
+  let size = Ctype.sizeof reg (Ctype.Named "obj") in
+  let a = Kmem.alloc mem ~align:4096 ~tag:"obj" size in
+  let b = Kmem.alloc mem ~align:4096 ~tag:"obj" size in
+  Kmem.write_u32 mem a 7;
+  Kmem.write_u32 mem b 8;
+  let n tgt x = Target.as_int tgt (Target.member tgt (Target.obj (Ctype.Named "obj") x) "n") in
+  let attempts t = (Transport.snapshot (Option.get (Target.transport t))).Transport.attempts in
+  let hits_misses t =
+    let c = Target.cache_stats t in
+    (c.Target.hits, c.Target.misses)
+  in
+  Alcotest.(check int) "parent reads a" 7 (n tgt a);
+  Alcotest.(check int) "parent miss went over the wire" 1 (attempts tgt);
+  let f1 = Target.fork ~lane:1 tgt in
+  Alcotest.(check int) "lane reads a" 7 (n f1 a);
+  Alcotest.(check int) "lane hit costs no wire attempt" 0 (attempts f1);
+  Alcotest.(check (pair int int)) "lane: one hit" (1, 0) (hits_misses f1);
+  (* a lane-local write dirties the page in the lane's view only *)
+  Kmem.write_u32 (Target.mem f1) a 9;
+  Alcotest.(check int) "lane sees its own write" 9 (n f1 a);
+  Alcotest.(check (pair int int)) "lane-written page misses" (1, 1) (hits_misses f1);
+  Alcotest.(check int) "lane b fill" 8 (n f1 b);
+  Alcotest.(check int) "lane attempts" 2 (attempts f1);
+  (* a base write before a fork's read invalidates the inherited stamp *)
+  Kmem.write_u32 mem a 10;
+  let f2 = Target.fork ~lane:2 tgt in
+  Alcotest.(check int) "second lane reads the new value" 10 (n f2 a);
+  Alcotest.(check (pair int int)) "stale inherited stamp misses" (0, 1) (hits_misses f2);
+  Target.absorb tgt f2;
+  Target.absorb tgt f1;
+  (* the parent adopts the stamps the lanes filled: a re-filled by
+     lane 2, b filled by lane 1 *)
+  let before = attempts tgt in
+  Target.reset_cache_stats tgt;
+  Alcotest.(check int) "parent reads a" 10 (n tgt a);
+  Alcotest.(check int) "parent reads b" 8 (n tgt b);
+  Alcotest.(check (pair int int)) "adopted stamps hit" (2, 0) (hits_misses tgt);
+  Alcotest.(check int) "no parent wire attempts" before (attempts tgt)
+
 let suite =
   [ Alcotest.test_case "member + bitfields" `Quick test_member_and_bitfields;
     Alcotest.test_case "member_path flatten" `Quick test_member_path_flatten;
@@ -112,4 +157,6 @@ let suite =
     Alcotest.test_case "symbol resolution order" `Quick test_symbol_resolution_order;
     Alcotest.test_case "truthy + strings" `Quick test_truthy_and_strings;
     Alcotest.test_case "stats + latency profiles" `Quick test_stats_and_profiles;
-    Alcotest.test_case "error cases" `Quick test_deref_errors ]
+    Alcotest.test_case "error cases" `Quick test_deref_errors;
+    Alcotest.test_case "fork warm-starts from the parent's read cache" `Quick
+      test_fork_warm_cache ]
