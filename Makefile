@@ -72,9 +72,12 @@ par-smoke: all
 # extractions, every refusal a typed Rejected (capacity included), the
 # cold-plot read cache actually shared across sessions, and a killed
 # fleet replayed from its journal snapshot with pane/box ids
-# reproduced.  Writes BENCH_sessions.json, which bench-compare then
-# gates on.
+# reproduced.  Runs once at 2 domains first (session ops never split
+# their loops, so pooled lanes must not break isolation), then at the
+# default 1 domain, which writes BENCH_sessions.json for bench-compare
+# to gate on.
 session-smoke: all
+	VISUALINUX_DOMAINS=2 dune exec bench/main.exe -- --sessions 4 --fault-rate 0.2 --seed 7
 	dune exec bench/main.exe -- --sessions 4 --fault-rate 0.2 --seed 7
 	@echo "session-smoke: ok"
 

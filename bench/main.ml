@@ -1632,8 +1632,8 @@ type par_run = {
   pjournal : string list;  (** merged fault journal, formatted *)
   preads : int;  (** merged Target read counter *)
   pbytes : int;
-  pattempts : int;  (** wire attempts, lane forks included *)
-  psim_ms : float;  (** simulated wire ms, lane forks included *)
+  pattempts : int;  (** wire attempts, lane misses replayed at the join included *)
+  psim_ms : float;  (** simulated wire ms, lane misses included *)
   pcache : Target.cache_stats;  (** merged read-cache counters *)
   pfired : int;  (** chaos mutations fired (serial + per-lane) *)
   pwall_ms : float;  (** total plot wall across the figure set *)
@@ -1648,10 +1648,9 @@ let par_run ~pool_size ~seed ~chaos_rate ~inject () =
   (* a wide workload, so the container loops clear the shard fan-out *)
   Workload.run ~iters:40 w;
   (* plot-ms is priced as in Table 4: local wall plus simulated wire
-     latency on the kgdb link.  Each lane runs over its own transport
-     fork, and reports that fork's wire time into its pool timing
-     (Dpool.charge), so serial and per-lane costs are in the same
-     unit. *)
+     latency on the kgdb link.  Lanes own no wire: their misses are
+     replayed on this one transport when they join, so the wire time
+     is the sequential plot's and lands in the serial remainder. *)
   let tr = Transport.create ~seed Target.kgdb_rpi400 in
   let s = Visualinux.attach ~transport:tr kernel in
   let tgt = s.Visualinux.target in
@@ -1677,8 +1676,8 @@ let par_run ~pool_size ~seed ~chaos_rate ~inject () =
       (match Viewcl.run ~cfg:s.Visualinux.cfg ~pool tgt sc.Scripts.source with
       | res -> renders := canonical res.Viewcl.graph :: !renders
       | exception Viewcl.Error e -> renders := ("ERROR: " ^ e) :: !renders);
-      (* lane wire time is absorbed into the base transport at merge,
-         so the snapshot delta prices the whole figure *)
+      (* lane misses are replayed on the base transport at merge, so
+         the snapshot delta prices the whole figure *)
       let fms =
         ((Unix.gettimeofday () -. t0) *. 1000.)
         +. ((Transport.snapshot tr).Transport.sim_ms -. sim0)

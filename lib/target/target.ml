@@ -36,6 +36,26 @@ type section = { sec_start : int; sec_pages : (int, int) Hashtbl.t }
 
 module Pages = Map.Make (Int)
 
+(* A lane's cache miss.  The lane performs the read from its own Kmem
+   view at once and logs it; [absorb] replays the log on the parent's
+   wire.  [m_len] is both the extent whose stamps decide hit or miss
+   and the bytes a fetch charges; [m_fill] is the extent a fetch
+   stamps (longer for a string); [m_gens] are the lane-view generations
+   of the checked pages, first page first. *)
+type miss = {
+  m_at : addr;
+  m_len : int;
+  m_fill : int;
+  m_gens : int list;
+  m_prefetch : bool;  (* a struct prefetch: coalesced, never a hit or miss *)
+}
+
+(* Where a read the cache cannot serve goes. *)
+type wire =
+  | Local  (* no transport: reads are local and free, the cache is bypassed *)
+  | Remote of Transport.t
+  | Lane of miss list ref  (* a fork: misses logged, newest first *)
+
 type t = {
   kmem : Kmem.t;
   reg : Ctype.registry;
@@ -45,7 +65,7 @@ type t = {
   mutable journal : fault list;  (* newest first *)
   mutable nfaults : int;
   mutable sinks : fault list ref list;  (* innermost with_faults first *)
-  mutable transport : Transport.t option;  (* None: reads are local/free *)
+  mutable wire : wire;
   mutable sections : section list;  (* innermost consistent section first *)
   mutable read_hook : (unit -> unit) option;  (* chaos: fired between reads *)
   mutable in_hook : bool;  (* reentrancy guard for [read_hook] *)
@@ -77,7 +97,7 @@ let create kmem reg =
     journal = [];
     nfaults = 0;
     sinks = [];
-    transport = None;
+    wire = Local;
     sections = [];
     read_hook = None;
     in_hook = false;
@@ -91,11 +111,11 @@ let create kmem reg =
 
 let mem t = t.kmem
 let types t = t.reg
-let set_transport t tr = t.transport <- Some tr
-let transport t = t.transport
+let set_transport t tr = t.wire <- Remote tr
+let transport t = match t.wire with Remote tr -> Some tr | Local | Lane _ -> None
 
 let deadline_exceeded t =
-  match t.transport with Some tr -> Transport.deadline_exceeded tr | None -> false
+  match t.wire with Remote tr -> Transport.deadline_exceeded tr | Local | Lane _ -> false
 
 (* ------------------------------------------------------------------ *)
 (* Fault journal *)
@@ -267,25 +287,6 @@ let validate t ~ctx a =
     true
   end
 
-(* Route one read over the transport (when attached).  The Kmem thunk
-   only runs if the transport lets the read through: an open breaker, a
-   dead link or an exhausted deadline budget refuses the read entirely,
-   records the matching typed fault, and yields [default] — extraction
-   degrades to broken boxes instead of blocking on a flaky link. *)
-let transported t ~ctx ~at ~bytes ~default perform =
-  match t.transport with
-  | None -> perform ()
-  | Some tr -> (
-      match Transport.fetch tr ~bytes perform with
-      | Ok v -> v
-      | Error err ->
-          (match err with
-          | Transport.Deadline_exceeded -> record_fault t (Timed_out { at; ctx })
-          | err ->
-              record_fault t
-                (Link_lost { at; ctx; detail = Transport.error_to_string err }));
-          default)
-
 (* ------------------------------------------------------------------ *)
 (* Generation-validated read cache.
 
@@ -301,18 +302,21 @@ let c_hits = Obs.Counter.make "cache.hits"
 let c_misses = Obs.Counter.make "cache.misses"
 let c_coalesced = Obs.Counter.make "cache.coalesced_reads"
 
+let page_span a n = (a lsr Kmem.page_bits, (a + max n 1 - 1) lsr Kmem.page_bits)
+
 let pages_fresh t a n =
-  let last = (a + max n 1 - 1) lsr Kmem.page_bits in
+  let first, last = page_span a n in
   let rec go p =
     p > last
     || (match Pages.find_opt p t.rcache with
        | Some g -> g = Kmem.page_generation t.kmem p && go (p + 1)
        | None -> false)
   in
-  go (a lsr Kmem.page_bits)
+  go first
 
 let fill_pages t a n =
-  for p = a lsr Kmem.page_bits to (a + max n 1 - 1) lsr Kmem.page_bits do
+  let first, last = page_span a n in
+  for p = first to last do
     t.rcache <- Pages.add p (Kmem.page_generation t.kmem p) t.rcache
   done
 
@@ -336,9 +340,15 @@ let clear_read_cache t = t.rcache <- Pages.empty
    served: while the link is down or the breaker is open, every read
    must go through (and be refused by) the transport, so that crash
    semantics — stale panes, Link_lost faults, frozen read counters —
-   are identical with and without caching. *)
-let cache_usable t tr =
-  t.cache_on && Transport.link tr = Transport.Up && Transport.breaker tr = Transport.Closed
+   are identical with and without caching.  A lane's parent wire is
+   infallible for the whole split (see [can_split]). *)
+let cache_usable t =
+  t.cache_on
+  &&
+  match t.wire with
+  | Local -> false
+  | Remote tr -> Transport.link tr = Transport.Up && Transport.breaker tr = Transport.Closed
+  | Lane _ -> true
 
 (* The running hit rate as a metrics gauge, refreshed on every cache
    decision while obs is on — so cache effectiveness shows up in the
@@ -364,6 +374,48 @@ let cache_miss t =
     end
   end
 
+let cache_coalesced t a n =
+  t.ch_coalesced <- t.ch_coalesced + 1;
+  if Obs.enabled () then Obs.Counter.incr c_coalesced;
+  fill_pages t a n
+
+(* Append a miss over [\[a, a+len)] to a lane's [log]. *)
+let log_miss t log ~prefetch a len fill =
+  let first, last = page_span a len in
+  let m_gens = List.init (last - first + 1) (fun i -> Kmem.page_generation t.kmem (first + i)) in
+  log := { m_at = a; m_len = len; m_fill = fill; m_gens; m_prefetch = prefetch } :: !log
+
+(* A read the cache could not serve.  On the wire it is one fetch of
+   [len] bytes: the Kmem thunk only runs if the transport lets the read
+   through — an open breaker, a dead link or an exhausted deadline
+   budget refuses it, records the matching typed fault and yields
+   [default], so extraction degrades to broken boxes instead of
+   blocking on a flaky link.  In a lane it is performed at once and
+   logged for replay at the join.  A served read stamps [fill v] bytes. *)
+let missed t ~ctx ~at ~len ~default ~fill perform =
+  let served () =
+    let v = perform () in
+    if t.cache_on then fill_pages t at (fill v);
+    v
+  in
+  match t.wire with
+  | Local -> perform ()
+  | Lane log ->
+      let v = served () in
+      log_miss t log ~prefetch:false at len (fill v);
+      v
+  | Remote tr -> (
+      cache_miss t;
+      match Transport.fetch tr ~bytes:len served with
+      | Ok v -> v
+      | Error err ->
+          (match err with
+          | Transport.Deadline_exceeded -> record_fault t (Timed_out { at; ctx })
+          | err ->
+              record_fault t
+                (Link_lost { at; ctx; detail = Transport.error_to_string err }));
+          default)
+
 (* Struct-granular coalescing: fetch a whole object extent in one
    transport round-trip and stamp its pages, so the per-field reads that
    follow are cache hits (one packet per box instead of one per field,
@@ -374,19 +426,16 @@ let cache_miss t =
    performs no Kmem read — no counters, no section registration, no
    injection draw — so it is invisible to everything but the wire. *)
 let prefetch t a n =
-  match t.transport with
-  | None -> ()
-  | Some tr ->
-      if cache_usable t tr && n > 0
-         && not (a >= 0 && a < null_guard)
-         && not (pages_fresh t a n)
-      then
+  if cache_usable t && n > 0 && not (a >= 0 && a < null_guard) && not (pages_fresh t a n) then
+    match t.wire with
+    | Local -> ()
+    | Lane log ->
+        log_miss t log ~prefetch:true a n n;
+        fill_pages t a n
+    | Remote tr -> (
         match Transport.fetch tr ~bytes:n (fun () -> ()) with
-        | Ok () ->
-            t.ch_coalesced <- t.ch_coalesced + 1;
-            if Obs.enabled () then Obs.Counter.incr c_coalesced;
-            fill_pages t a n
-        | Error _ -> ()
+        | Ok () -> cache_coalesced t a n
+        | Error _ -> ())
 
 let read_scalar t ~ctx a size signed =
   if not (validate t ~ctx a) then 0
@@ -410,17 +459,11 @@ let read_scalar t ~ctx a size signed =
       v
     in
     let go () =
-      match t.transport with
-      | None -> perform ()
-      | Some tr when cache_usable t tr && pages_fresh t a size ->
-          cache_hit t;
-          perform ()
-      | Some _ ->
-          cache_miss t;
-          transported t ~ctx ~at:a ~bytes:size ~default:0 (fun () ->
-              let v = perform () in
-              if t.cache_on then fill_pages t a size;
-              v)
+      if cache_usable t && pages_fresh t a size then begin
+        cache_hit t;
+        perform ()
+      end
+      else missed t ~ctx ~at:a ~len:size ~default:0 ~fill:(fun _ -> size) perform
     in
     let v = if Obs.enabled () then Obs.with_span ~cat:"target" "target.read" go else go () in
     fire_read_hook t;
@@ -439,22 +482,19 @@ let read_str t ~ctx a reader =
       mirror_injected t c0;
       s
     in
+    (* A string's extent is unknown before the read; the hit test
+       validates its first 8-byte granule.  Data is always re-read from
+       Kmem, so a stale tail page can only mean an extra skipped
+       round-trip, never stale bytes. *)
     let go () =
-      match t.transport with
-      | None -> perform ()
-      (* A string's extent is unknown before the read; the hit test
-         validates its first 8-byte granule.  Data is always re-read
-         from Kmem, so a stale tail page can only mean an extra skipped
-         round-trip, never stale bytes. *)
-      | Some tr when cache_usable t tr && pages_fresh t a 8 ->
-          cache_hit t;
-          perform ()
-      | Some _ ->
-          cache_miss t;
-          transported t ~ctx ~at:a ~bytes:8 ~default:"" (fun () ->
-              let s = perform () in
-              if t.cache_on then fill_pages t a (max 8 (String.length s + 1));
-              s)
+      if cache_usable t && pages_fresh t a 8 then begin
+        cache_hit t;
+        perform ()
+      end
+      else
+        missed t ~ctx ~at:a ~len:8 ~default:""
+          ~fill:(fun s -> max 8 (String.length s + 1))
+          perform
     in
     let s = if Obs.enabled () then Obs.with_span ~cat:"target" "target.read" go else go () in
     fire_read_hook t;
@@ -695,18 +735,26 @@ let simulated_ms p st =
    one extraction lane: the type registry, symbol/macro/helper tables
    and allocation map are shared physically (read-only during a
    parallel region), everything mutable — journal, sinks, sections,
-   read cache, counters, hooks — is lane-local.  The read cache starts
-   from the parent's page stamps as they stand at the fork (an O(1)
-   share of the persistent map; the lane's own fills extend only its
-   copy).  Forks are built on the submitting thread in program order,
-   so that snapshot is a function of the program, not of when the lane
-   runs; every stamp is still re-validated against the lane's own Kmem
-   view.  Combined with the per-lane injection/chaos/transport
-   streams, a lane's entire execution is a deterministic function of
-   its lane id and program slice, independent of domain count and
-   steal schedule. *)
+   read cache, counters, hooks — is lane-local.  A lane owns no wire:
+   each cache miss is performed from the lane's own view at once and
+   logged, and [absorb] replays the log on the parent's wire.  The read
+   cache starts from the parent's page stamps as they stand at the fork
+   (an O(1) share of the persistent map; the lane's own fills extend
+   only its copy).  Forks are built on the submitting thread in program
+   order, so that snapshot is a function of the program, not of when
+   the lane runs; every stamp is still re-validated against the lane's
+   own Kmem view.  Combined with the per-lane injection/chaos streams,
+   a lane's entire execution — its miss log included — is a
+   deterministic function of its lane id and program slice,
+   independent of domain count and steal schedule. *)
+
+(* A lane's reads always succeed, so its log replays exactly only over
+   a wire that cannot refuse a fetch. *)
+let can_split t =
+  match t.wire with Local -> true | Remote tr -> Transport.infallible tr | Lane _ -> false
 
 let fork ?(lane = 0) t =
+  if not (can_split t) then invalid_arg "Target.fork: the wire can refuse a fetch";
   let kmem = Kmem.fork ~lane t.kmem in
   let ft =
     {
@@ -718,7 +766,7 @@ let fork ?(lane = 0) t =
       journal = [];
       nfaults = 0;
       sinks = [];
-      transport = Option.map (fun tr -> Transport.fork ~lane tr) t.transport;
+      wire = (match t.wire with Local -> Local | Remote _ | Lane _ -> Lane (ref []));
       sections = [];
       read_hook = None;
       in_hook = false;
@@ -735,12 +783,36 @@ let fork ?(lane = 0) t =
 
 let is_fork t = Kmem.is_fork t.kmem
 
-(* Deterministic join: fold a lane's accounting back into the parent.
-   Callers absorb lanes in lane order, so the merged journal, counters
-   and cache statistics are identical across domain counts.  Only page
-   stamps still valid against the parent's memory are adopted into the
-   read cache (lane-local chaos writes stamp view-only generations that
-   must not leak). *)
+(* Replay one lane miss against the parent's read cache: a hit when the
+   parent holds stamps equal to the generations the lane saw (so a page
+   the lane's own chaos wrote never hits), otherwise one fetch on the
+   parent's wire that fills the parent cache.  It is counted as
+   whatever it turned out to be, as the sequential read would have
+   been. *)
+let replay t tr m =
+  let rec stamped p = function
+    | [] -> true
+    | g :: gs -> (
+        match Pages.find_opt p t.rcache with
+        | Some s -> s = g && stamped (p + 1) gs
+        | None -> false)
+  in
+  if cache_usable t && stamped (m.m_at lsr Kmem.page_bits) m.m_gens then begin
+    if not m.m_prefetch then cache_hit t
+  end
+  else begin
+    if not m.m_prefetch then cache_miss t;
+    match Transport.fetch tr ~bytes:m.m_len (fun () -> ()) with
+    | Ok () ->
+        if m.m_prefetch then cache_coalesced t m.m_at m.m_fill
+        else if t.cache_on then fill_pages t m.m_at m.m_fill
+    | Error _ -> ()  (* unreachable: lanes exist only over an infallible wire *)
+  end
+
+(* Deterministic join: fold a lane's accounting back into the parent
+   and replay its misses on the parent's wire.  Callers absorb lanes in
+   lane order, so the merged journal, counters, read cache and wire
+   accounting are identical across domain counts. *)
 let absorb t child =
   Kmem.absorb t.kmem child.kmem;
   t.nfaults <- t.nfaults + child.nfaults;
@@ -748,16 +820,9 @@ let absorb t child =
   child.journal <- [];
   child.nfaults <- 0;
   t.ch_hits <- t.ch_hits + child.ch_hits;
-  t.ch_misses <- t.ch_misses + child.ch_misses;
-  t.ch_coalesced <- t.ch_coalesced + child.ch_coalesced;
   child.ch_hits <- 0;
-  child.ch_misses <- 0;
-  child.ch_coalesced <- 0;
-  if t.cache_on then
-    t.rcache <-
-      Pages.fold
-        (fun p g acc -> if Kmem.page_generation t.kmem p = g then Pages.add p g acc else acc)
-        child.rcache t.rcache;
-  match (t.transport, child.transport) with
-  | Some tr, Some ctr -> Transport.absorb tr ctr
+  match (t.wire, child.wire) with
+  | Remote tr, Lane log ->
+      List.iter (replay t tr) (List.rev !log);
+      log := []
   | _ -> ()

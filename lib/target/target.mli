@@ -248,34 +248,49 @@ val set_hook_fork : t -> (lane:int -> Kmem.t -> (unit -> unit) option) option ->
 (* ------------------------------------------------------------------ *)
 (* Per-lane forks (parallel extraction) *)
 
+val can_split : t -> bool
+(** A loop over [t] may fan out into {!fork}ed lanes: there is no
+    transport, or its wire cannot refuse a fetch
+    ({!Transport.infallible}).  Lanes log their misses for replay at
+    {!absorb}, which is exact only when every fetch succeeds — so a
+    faulty, gated or deadline-bound wire (every session op) keeps its
+    loops sequential.  Always false on a fork (no nested splits). *)
+
 val fork : ?lane:int -> t -> t
 (** [fork ~lane t] — a lane-local target over a {!Kmem.fork} view of
     [t]'s memory.  Shared physically (read-only during the parallel
     region): type registry, symbols, macros, helpers, allocation map.
     Lane-local: fault journal, sinks, consistent sections,
     cache/read counters, the per-lane injection stream
-    ([Kmem.fork ~lane]), a {!Transport.fork} of the transport when one
-    is attached, and a read hook derived via {!set_hook_fork}.  The
-    read cache starts from [t]'s page stamps as of the fork (an O(1)
-    snapshot); the lane's own fills extend only its copy, and every
-    stamp is re-validated against the lane's Kmem view, so a page the
-    lane's chaos wrote still misses.  Build forks on the submitting
-    thread in program order: the snapshot is then a function of the
-    program, and a lane's execution a deterministic function of its
-    lane id and program slice — independent of domain count and
-    schedule. *)
+    ([Kmem.fork ~lane]), and a read hook derived via {!set_hook_fork}.
+    A lane owns no transport ({!transport} is [None]): each read-cache
+    miss — a struct {!prefetch}, a scalar or a string read — is
+    performed from the lane's view at once and appended to the lane's
+    miss log with its address, checked and filled extents and the page
+    generations the lane saw.  The read cache starts from [t]'s page
+    stamps as of the fork (an O(1) snapshot); the lane's own fills
+    extend only its copy, and every stamp is re-validated against the
+    lane's Kmem view, so a page the lane's chaos wrote still misses.
+    Build forks on the submitting thread in program order: the snapshot
+    is then a function of the program, and a lane's execution a
+    deterministic function of its lane id and program slice —
+    independent of domain count and schedule.
+    @raise Invalid_argument unless {!can_split}[ t]. *)
 
 val is_fork : t -> bool
 
 val absorb : t -> t -> unit
 (** [absorb t child] — deterministic join: append the lane's fault
-    journal after [t]'s (preserving its internal order), sum read /
-    cache counters, adopt the lane's page stamps that are still valid
-    against [t]'s memory (inherited ones included) into [t]'s read
-    cache, fold the lane transport's accounting into [t]'s, and empty
-    the child's accounting.  Call once per lane, from the joining
-    thread, in lane order — that makes the merged state identical
-    across domain counts. *)
+    journal after [t]'s (preserving its internal order), sum read
+    counters and the lane's cache hits, then replay the lane's miss log
+    against [t]'s read cache in the order the lane made the misses.  An
+    entry whose pages [t] holds with the generations the lane saw is a
+    hit; any other costs one {!Transport.fetch} on [t]'s wire and fills
+    [t]'s cache.  Each logged miss counts once, as whatever it turned
+    out to be, so a split plot costs exactly the wire of the sequential
+    plot.  Empties the child's accounting.  Call once per lane, from
+    the joining thread, in lane order — that makes the merged state
+    identical across domain counts. *)
 
 (* ------------------------------------------------------------------ *)
 (* Generation-validated read cache + struct-granular coalescing *)

@@ -113,8 +113,9 @@ type t = {
   (* thread-safe fetch gate: a transport's mutable state (rng, clock,
      breaker, counters) is only ever touched under this lock, so a
      transport shared across extraction domains serializes rather than
-     corrupts.  Deterministic parallel runs use per-lane forks instead
-     (see [fork]); the lock is the safety net, not the fast path. *)
+     corrupts.  Parallel extraction lanes never touch the wire (their
+     misses are replayed at the join, see [Target.absorb]); the lock is
+     the safety net, not the fast path. *)
   lock : Mutex.t;
 }
 
@@ -277,6 +278,14 @@ let budget_spent t = t.spent_ms
 let deadline_exceeded t =
   match t.deadline_ms with Some d -> t.spent_ms >= d | None -> false
 
+(* No fetch can fail or be refused: no fault can fire, and no breaker,
+   deadline or session gate stands in the way. *)
+let infallible t =
+  t.link = Up && t.brk = Closed
+  && (not (any_faults t.faults))
+  && (not (any_faults t.base_faults))
+  && t.deadline_ms = None && t.gate = None && t.retry_gate = None
+
 (* ------------------------------------------------------------------ *)
 (* The resilient read *)
 
@@ -418,47 +427,6 @@ let fetch t ~bytes perform =
               ~attrs:[ ("error", error_to_string e) ]
               "transport.error";
             Error e)
-
-(* ------------------------------------------------------------------ *)
-(* Per-lane forks (parallel extraction).  A fork is a fresh transport
-   over the same simulated wire: profile, policy, fault configs and
-   link/breaker state are copied, counters and budget start at zero,
-   and the fault/jitter rng is reseeded deterministically from
-   [seed lxor lane] — so a lane's wire weather depends only on its lane
-   id and fetch sequence, never on how lanes interleave.  The session
-   admission and retry gates are deliberately NOT inherited: they close
-   over single-domain session state. *)
-
-let fork ?(lane = 0) t =
-  Mutex.protect t.lock @@ fun () ->
-  let seed = mix t.seed (lane + 1) in
-  { prof = t.prof; seed; policy = t.policy; faults = t.faults;
-    base_faults = t.base_faults; rng = seed; link = t.link; brk = t.brk;
-    consec_failures = 0; half_open_at = 0.; clock_ms = 0.; spent_ms = 0.;
-    deadline_ms = t.deadline_ms; gate = None; retry_gate = None; ew_fault = t.ew_fault;
-    ew_lat = t.ew_lat; ew_n = 0; reads_ok = 0; attempts = 0; retries = 0; stalls = 0;
-    drops = 0; disconnects = 0; reconnects = 0; breaker_trips = 0; short_circuits = 0;
-    deadline_hits = 0; retry_denials = 0; lock = Mutex.create () }
-
-(* Fold a joined fork's accounting back into the parent: counters sum,
-   simulated wire time accumulates (lanes overlap in wall time but the
-   per-lane wire cost is real traffic), the fork's breaker/link state
-   is discarded — the parent keeps its own view of the wire. *)
-let absorb t child =
-  Mutex.protect t.lock @@ fun () ->
-  t.reads_ok <- t.reads_ok + child.reads_ok;
-  t.attempts <- t.attempts + child.attempts;
-  t.retries <- t.retries + child.retries;
-  t.stalls <- t.stalls + child.stalls;
-  t.drops <- t.drops + child.drops;
-  t.disconnects <- t.disconnects + child.disconnects;
-  t.reconnects <- t.reconnects + child.reconnects;
-  t.breaker_trips <- t.breaker_trips + child.breaker_trips;
-  t.short_circuits <- t.short_circuits + child.short_circuits;
-  t.deadline_hits <- t.deadline_hits + child.deadline_hits;
-  t.retry_denials <- t.retry_denials + child.retry_denials;
-  t.clock_ms <- t.clock_ms +. child.clock_ms;
-  t.spent_ms <- t.spent_ms +. child.spent_ms
 
 (* ------------------------------------------------------------------ *)
 (* Health *)

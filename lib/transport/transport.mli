@@ -182,25 +182,15 @@ val fetch : t -> bytes:int -> (unit -> 'a) -> ('a, error) result
     Thread-safe: the whole fetch (rng draw, clock charge, breaker
     accounting, [perform]) runs under the transport's internal mutex,
     so a transport shared across extraction domains serializes rather
-    than corrupts.  Deterministic parallel runs should use per-lane
-    {!fork}s instead — serialization keeps the state sound but the
-    draw order still depends on lane interleaving. *)
+    than corrupts — but the draw order would then depend on the
+    interleaving, so parallel extraction lanes never fetch: they log
+    their misses and the join replays them here (see {!Target.absorb}). *)
 
-val fork : ?lane:int -> t -> t
-(** [fork ~lane t] — a fresh transport over the same simulated wire
-    for one extraction lane: profile, policy, fault configs, deadline
-    and link/breaker state are copied; counters, budget spend and the
-    simulated clock start at zero; the fault/jitter rng is reseeded
-    deterministically from [seed] and [lane], so a lane's wire weather
-    depends only on its lane id and its own fetch sequence.  The
-    session admission and retry gates are not inherited (they close
-    over single-domain session state). *)
-
-val absorb : t -> t -> unit
-(** [absorb t child] folds a joined fork's counters and simulated wire
-    time back into [t] (sums; the fork's breaker/link state is
-    discarded). Call once per fork, from the joining thread, in lane
-    order. *)
+val infallible : t -> bool
+(** No fetch can fail or be refused right now: link up, breaker
+    closed, no session or base faults, no deadline, and no admission or
+    retry gate.  Parallel extraction splits a loop only over such a
+    wire. *)
 
 (* ------------------------------------------------------------------ *)
 (** {1 Health} *)

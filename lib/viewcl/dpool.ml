@@ -73,17 +73,6 @@ let create n =
 
 let size t = t.size
 
-(* Self-reported extra cost of the current task (simulated wire
-   milliseconds of the lane's transport fork): accumulated domain-local
-   while the task runs, folded into that task's recorded duration.  The
-   schedule model then packs compute + wire cost per lane, which is the
-   plot-ms a real per-lane debug channel would spend. *)
-let charge_key : float ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref 0.)
-
-let charge ms =
-  let r = Domain.DLS.get charge_key in
-  r := !r +. ms
-
 (* A batch is an open set of tasks on the pool: {!add} publishes a task
    immediately (idle members start on it while the submitter keeps
    producing — the pipelining streamed container walks rely on), {!join}
@@ -103,11 +92,9 @@ let add b thunk =
   let i = b.bn in
   b.bn <- b.bn + 1;
   let task () =
-    let cr = Domain.DLS.get charge_key in
-    cr := 0.;
     let t0 = Unix.gettimeofday () in
     let r = try Ok (thunk ()) with e -> Error e in
-    let dt = ((Unix.gettimeofday () -. t0) *. 1000.) +. !cr in
+    let dt = (Unix.gettimeofday () -. t0) *. 1000. in
     Mutex.lock t.mutex;
     b.bout <- (i, r) :: b.bout;
     b.bdone <- b.bdone + 1;

@@ -58,17 +58,8 @@ val record : t -> float -> unit
 
 val timings : t -> float list
 (** Per-task cost in ms of every task completed since the last
-    {!reset_timings}, in completion order — wall clock plus whatever
-    the task {!charge}d — the per-lane busy times {!model_speedup}
-    schedules. *)
-
-val charge : float -> unit
-(** Add [ms] to the recorded duration of the task currently executing
-    on this domain.  Lane tasks report the simulated wire time of
-    their per-lane transport fork this way, so the schedule model
-    packs compute {e plus} wire cost — the plot-ms a per-lane debug
-    channel spends.  No-op outside a task (the accumulator is reset at
-    every task start). *)
+    {!reset_timings}, in completion order — the per-lane busy times
+    {!model_speedup} schedules. *)
 
 val reset_timings : t -> unit
 

@@ -583,13 +583,16 @@ and eval_elem st env var body elem =
 
 (* The parallel split point: any wide For_each — a top-level root loop
    or a container nested inside a box build — fans its element list out
-   over the domain pool; everything narrower or already inside a lane
-   evaluates sequentially in place.  Splits only ever happen on the
-   joining thread (a lane never re-splits), so the program-order lane
-   id counter stays race-free. *)
+   over the domain pool; everything narrower, already inside a lane, or
+   over a wire that could refuse a fetch ({!Target.can_split}: lane
+   misses are replayed at the join, which is exact only if every fetch
+   succeeds) evaluates sequentially in place.  Splits only ever happen
+   on the joining thread (a lane never re-splits), so the program-order
+   lane id counter stays race-free. *)
 and eval_members st env var body elems =
   match st.pool with
-  | Some pool when st.lane = None && List.length elems >= par_fanout ->
+  | Some pool
+    when st.lane = None && List.length elems >= par_fanout && Target.can_split st.tgt ->
       eval_members_par st pool env var body elems
   | _ -> List.concat_map (eval_elem st env var body) elems
 
@@ -600,13 +603,13 @@ and eval_members st env var body elems =
    the lane structure (and with it every per-lane rng stream) is
    identical across --domains 1/2/4.  Each shard runs against a fully
    lane-local world: a {!Target.fork} (own Kmem overlay view, own
-   injection stream, own transport fork, own chaos hook), a
+   injection stream, own miss log instead of a wire, own chaos hook), a
    {!Vgraph.fork} (reads fall through to the pre-split graph), a fresh
    plot cache, and an {!Obs.Lane} buffer.  The shared base state stays
    quiescent until every shard has joined; then the shards merge
    deterministically in lane order ({!merge_lane}), which makes the
-   merged graph, fault journal, counters and cache byte-identical
-   however many domains actually ran the shards. *)
+   merged graph, fault journal, counters, cache and wire accounting
+   byte-identical however many domains actually ran the shards. *)
 and eval_members_par st pool env var body elems =
   let arr = Array.of_list elems in
   let n = Array.length arr in
@@ -650,13 +653,6 @@ and lane_task st env var body ~lane selems =
       Obs.Lane.scoped lobs (fun () ->
           List.concat_map (eval_elem lst env var body) selems)
     in
-    (* the lane's share of simulated wire time rides on its own
-       transport fork; report it so the pool's per-task timings —
-       and the schedule model built on them — price compute plus
-       wire cost per lane *)
-    (match Target.transport lst.tgt with
-    | Some ltr -> Dpool.charge (Transport.snapshot ltr).Transport.sim_ms
-    | None -> ());
     (lst, lobs, members)
 
 (* Streamed (pipelined) List extraction.  A linked-list walk is an
@@ -671,7 +667,8 @@ and lane_task st env var body ~lane selems =
 
    Guards: never inside a lane (no nested splits), never with a read
    hook armed (a serial chaos mutator would race live lanes — eager
-   split keeps the parallel region quiescent), and lists shorter than
+   split keeps the parallel region quiescent), never over a wire that
+   could refuse a fetch ({!Target.can_split}), and lists shorter than
    [par_fanout] fall back to the sequential path before any task is
    submitted.  Chunking is a function of the discovery sequence alone
    (fixed [par_fanout]-sized chunks, lane ids claimed in program
@@ -680,7 +677,8 @@ and lane_task st env var body ~lane selems =
 and stream_foreach st env src var body =
   match (src, st.pool) with
   | Apply { name = "List"; args; _ }, Some pool
-    when st.lane = None && not (Target.read_hook_armed st.tgt) ->
+    when st.lane = None && (not (Target.read_hook_armed st.tgt)) && Target.can_split st.tgt
+    ->
       let tv = target_arg st env args in
       let subject = subject_of st tv in
       let t0 = Unix.gettimeofday () in
@@ -749,8 +747,9 @@ and stream_foreach st env src var body =
    order.  Re-homes the lane's boxes into the shared graph/cache
    (dedup'ing against boxes already built this run, exactly where the
    sequential within-run memo would have shared them), absorbs the
-   lane's observability buffer and its target's journal/counters, and
-   returns the lane's yields remapped to shared box ids. *)
+   lane's observability buffer and its target's journal/counters,
+   replays its read misses on the wire, and returns the lane's yields
+   remapped to shared box ids. *)
 and merge_lane st lst lobs members =
   Obs.Lane.absorb lobs;
   (* Lane ids to import: reachable from the yields, stopping at boxes

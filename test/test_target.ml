@@ -103,50 +103,70 @@ let test_deref_errors () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "addr_of immediate should fail"
 
-(* Lanes warm-start from the parent's read cache: a fork sees the
-   parent's page stamps as of the fork, a write since then still
-   misses, and the parent adopts the stamps the lane filled. *)
+(* Lanes warm-start from the parent's read cache and own no wire: a
+   fork sees the parent's page stamps as of the fork, a base write
+   before the fork or a lane-local write still misses, and each miss is
+   logged instead of fetched.  Absorb replays the logs in lane order on
+   the parent's wire: every page not fresh there is fetched exactly
+   once, and an entry already fresh costs no attempt. *)
 let test_fork_warm_cache () =
   let tgt, mem, reg = mk () in
-  Target.set_transport tgt (Transport.create ~seed:1 Target.kgdb_rpi400);
+  let tr = Transport.create ~seed:1 Target.kgdb_rpi400 in
+  Target.set_transport tgt tr;
   let size = Ctype.sizeof reg (Ctype.Named "obj") in
   let a = Kmem.alloc mem ~align:4096 ~tag:"obj" size in
   let b = Kmem.alloc mem ~align:4096 ~tag:"obj" size in
+  let c = Kmem.alloc mem ~align:4096 ~tag:"obj" size in
   Kmem.write_u32 mem a 7;
   Kmem.write_u32 mem b 8;
+  Kmem.write_u32 mem c 5;
   let n tgt x = Target.as_int tgt (Target.member tgt (Target.obj (Ctype.Named "obj") x) "n") in
-  let attempts t = (Transport.snapshot (Option.get (Target.transport t))).Transport.attempts in
+  let attempts () = (Transport.snapshot tr).Transport.attempts in
   let hits_misses t =
     let c = Target.cache_stats t in
     (c.Target.hits, c.Target.misses)
   in
   Alcotest.(check int) "parent reads a" 7 (n tgt a);
-  Alcotest.(check int) "parent miss went over the wire" 1 (attempts tgt);
-  let f1 = Target.fork ~lane:1 tgt in
-  Alcotest.(check int) "lane reads a" 7 (n f1 a);
-  Alcotest.(check int) "lane hit costs no wire attempt" 0 (attempts f1);
-  Alcotest.(check (pair int int)) "lane: one hit" (1, 0) (hits_misses f1);
-  (* a lane-local write dirties the page in the lane's view only *)
-  Kmem.write_u32 (Target.mem f1) a 9;
-  Alcotest.(check int) "lane sees its own write" 9 (n f1 a);
-  Alcotest.(check (pair int int)) "lane-written page misses" (1, 1) (hits_misses f1);
-  Alcotest.(check int) "lane b fill" 8 (n f1 b);
-  Alcotest.(check int) "lane attempts" 2 (attempts f1);
-  (* a base write before a fork's read invalidates the inherited stamp *)
-  Kmem.write_u32 mem a 10;
-  let f2 = Target.fork ~lane:2 tgt in
-  Alcotest.(check int) "second lane reads the new value" 10 (n f2 a);
-  Alcotest.(check (pair int int)) "stale inherited stamp misses" (0, 1) (hits_misses f2);
-  Target.absorb tgt f2;
-  Target.absorb tgt f1;
-  (* the parent adopts the stamps the lanes filled: a re-filled by
-     lane 2, b filled by lane 1 *)
-  let before = attempts tgt in
-  Target.reset_cache_stats tgt;
-  Alcotest.(check int) "parent reads a" 10 (n tgt a);
   Alcotest.(check int) "parent reads b" 8 (n tgt b);
-  Alcotest.(check (pair int int)) "adopted stamps hit" (2, 0) (hits_misses tgt);
-  Alcotest.(check int) "no parent wire attempts" before (attempts tgt)
+  Alcotest.(check int) "parent misses went over the wire" 2 (attempts ());
+  (* a base write before the fork leaves b's inherited stamp stale *)
+  Kmem.write_u32 mem b 9;
+  let f1 = Target.fork ~lane:1 tgt and f2 = Target.fork ~lane:2 tgt in
+  Alcotest.(check bool) "a lane owns no transport" true (Target.transport f1 = None);
+  Alcotest.(check int) "lane 1 reads a" 7 (n f1 a);
+  Alcotest.(check (pair int int)) "warm start: a hits" (1, 0) (hits_misses f1);
+  Alcotest.(check int) "lane 1 reads the new b" 9 (n f1 b);
+  Alcotest.(check (pair int int)) "stale inherited stamp misses" (1, 0) (hits_misses f1);
+  (* a lane-local write dirties the page in the lane's view only *)
+  Kmem.write_u32 (Target.mem f1) a 11;
+  Alcotest.(check int) "lane sees its own write" 11 (n f1 a);
+  Alcotest.(check (pair int int)) "lane-written page misses" (1, 0) (hits_misses f1);
+  Alcotest.(check int) "lane 1 re-reads b" 9 (n f1 b);
+  Alcotest.(check (pair int int)) "the lane's own fill hits" (2, 0) (hits_misses f1);
+  Alcotest.(check int) "lane 2 reads b" 9 (n f2 b);
+  Alcotest.(check int) "lane 2 reads c" 5 (n f2 c);
+  Alcotest.(check int) "lane 2 does not see lane 1's write" 7 (n f2 a);
+  Alcotest.(check (pair int int)) "lane 2: a hits" (1, 0) (hits_misses f2);
+  Alcotest.(check int) "lane misses cost no wire attempt" 2 (attempts ());
+  Target.reset_cache_stats tgt;
+  let ms0 = (Transport.snapshot tr).Transport.sim_ms in
+  (* lane 1 logged b (stale in the parent) and a (written in the lane) *)
+  Target.absorb tgt f1;
+  Alcotest.(check int) "lane 1's unfresh pages fetched once each" 4 (attempts ());
+  Alcotest.(check (pair int int)) "replayed as misses" (2, 2) (hits_misses tgt);
+  (* lane 2 logged b (now fresh in the parent) and c (not cached) *)
+  Target.absorb tgt f2;
+  Alcotest.(check int) "fresh b costs nothing, c one fetch" 5 (attempts ());
+  Alcotest.(check (pair int int)) "b replayed as a hit" (4, 3) (hits_misses tgt);
+  let rtt = Target.kgdb_rpi400 in
+  Alcotest.(check (float 1e-9)) "three 4-byte fetches on the parent wire"
+    (3. *. (rtt.Target.rtt_ms +. (4. *. rtt.Target.byte_ms)))
+    ((Transport.snapshot tr).Transport.sim_ms -. ms0);
+  Alcotest.(check int) "parent reads a" 7 (n tgt a);
+  Alcotest.(check int) "parent reads b" 9 (n tgt b);
+  Alcotest.(check int) "parent reads c" 5 (n tgt c);
+  Alcotest.(check (pair int int)) "replays filled the parent cache" (7, 3) (hits_misses tgt);
+  Alcotest.(check int) "no further wire attempts" 5 (attempts ())
 
 let suite =
   [ Alcotest.test_case "member + bitfields" `Quick test_member_and_bitfields;
