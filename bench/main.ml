@@ -987,6 +987,17 @@ let sessions_bench ~n ~rate ~rounds ~seed =
   assert (sawq && rejections > 0 && stales > 0);
   assert (storm_p95 <= (1.25 *. base_p95) +. 0.5);
   assert (cross >= 0.3);
+  (* every per-session counter is a sum of per-op deltas, in each fleet
+     and in the exported metrics, so none may go negative *)
+  List.iter
+    (fun s ->
+      List.iter
+        (fun sid -> List.iter (fun (_, v) -> assert (v >= 0)) (Session.counters s sid))
+        (Session.session_ids s))
+    [ srv_a; srv; srv2; srv3 ];
+  List.iter
+    (fun (k, v) -> if String.starts_with ~prefix:"session." k then assert (v >= 0))
+    (Obs.Metrics.counters ());
   print_endline
     "\n(isolation gate: one session storming at the given fault rate — plus one\n\
     \ forced breaker-Open round — left the other sessions' p95 within 25% of the\n\

@@ -8,7 +8,9 @@
      deterministic integer arithmetic seeded at [create]; no
      [Random], no wall clock, so a seeded run replays exactly.
    - The breaker counts *reads*, not attempts: a read that eventually
-     succeeds after two dropped replies resets the failure streak. *)
+     succeeds after two dropped replies resets the failure streak.
+   - A refused read (open breaker, or a link already found dead) never
+     touches the wire: no charge, no EWMA sample, one short circuit. *)
 
 type profile = { pname : string; rtt_ms : float; byte_ms : float }
 
@@ -135,8 +137,6 @@ let breaker t = t.brk
 let set_faults t f = t.faults <- f
 let faults_of t = t.faults
 let set_base_faults t f = t.base_faults <- f
-let base_faults_of t = t.base_faults
-let set_policy t p = t.policy <- p
 let set_gate t g = t.gate <- g
 let set_retry_gate t g = t.retry_gate <- g
 
@@ -266,7 +266,6 @@ let read_succeeded t =
 (* Budget *)
 
 let set_deadline t d = t.deadline_ms <- d
-let deadline t = t.deadline_ms
 
 let begin_plot t =
   t.spent_ms <- 0.;
@@ -317,10 +316,9 @@ let fetch_raw t ~bytes perform =
       in
       let rec attempt n =
         if t.link = Down then begin
-          (* a dead link is detected after one timeout; retrying is
-             pointless until an explicit reconnect *)
-          charge t t.policy.read_timeout_ms;
-          note_wire t ~ok:false ~ms:t.policy.read_timeout_ms;
+          (* the attempt that found the link dead paid its timeout; until
+             an explicit reconnect, reads are refused off the wire *)
+          t.short_circuits <- t.short_circuits + 1;
           fail Disconnected
         end
         else if deadline_exceeded t then begin
@@ -454,19 +452,6 @@ let snapshot (t : t) =
     breaker_trips = t.breaker_trips; short_circuits = t.short_circuits;
     deadline_hits = t.deadline_hits; retry_denials = t.retry_denials; sim_ms = t.clock_ms;
     breaker_now = t.brk; link_now = t.link }
-
-let reset_counters (t : t) =
-  t.reads_ok <- 0;
-  t.attempts <- 0;
-  t.retries <- 0;
-  t.stalls <- 0;
-  t.drops <- 0;
-  t.disconnects <- 0;
-  t.reconnects <- 0;
-  t.breaker_trips <- 0;
-  t.short_circuits <- 0;
-  t.deadline_hits <- 0;
-  t.retry_denials <- 0
 
 let health_line t =
   let budget =

@@ -43,7 +43,7 @@ val kgdb_rpi400 : profile
 type faults = {
   stall_rate : float;  (** read completes, but only after a timeout-long stall *)
   drop_rate : float;  (** the reply is lost; the client must retry *)
-  disconnect_rate : float;  (** the link dies mid-read; reads fail until {!reconnect} *)
+  disconnect_rate : float;  (** the link dies mid-read; reads are refused until {!reconnect} *)
 }
 
 val no_faults : faults
@@ -118,10 +118,6 @@ val set_base_faults : t -> faults -> unit
     the link.  Defaults to {!no_faults}, under which seeded runs replay
     exactly as before this knob existed. *)
 
-val base_faults_of : t -> faults
-
-val set_policy : t -> policy -> unit
-
 val set_retry_gate : t -> (unit -> bool) option -> unit
 (** Install (or clear) a retry-budget hook consulted before every retry
     of a dropped reply.  Returning [false] denies the retry: the read
@@ -143,7 +139,8 @@ val set_gate : t -> (bytes:int -> error option) option -> unit
 
 val disconnect : t -> unit
 (** Force the link down (what a crashed target or unplugged serial cable
-    looks like). Subsequent reads fail with {!error.Disconnected}. *)
+    looks like). Subsequent reads fail with {!error.Disconnected}, refused
+    without touching the wire: no charge, no EWMA sample, a short circuit. *)
 
 val reconnect : t -> unit
 (** Bring the link back up and resync: charges a handshake cost, resets
@@ -155,8 +152,6 @@ val reconnect : t -> unit
 
 val set_deadline : t -> float option -> unit
 (** Per-plot budget in simulated ms; [None] (default) is unlimited. *)
-
-val deadline : t -> float option
 
 val begin_plot : t -> unit
 (** Reset the budget spend for a new plot. *)
@@ -177,7 +172,8 @@ val fetch : t -> bytes:int -> (unit -> 'a) -> ('a, error) result
     cost ([rtt + bytes * byte_ms], or the read timeout for a stalled
     attempt) is charged; dropped replies are retried up to
     [max_retries] times with backoff charged between attempts. On any
-    [Error _] the thunk was never run.
+    [Error _] the thunk was never run.  A read is refused without touching
+    the wire by an open breaker or a link already found dead.
 
     Thread-safe: the whole fetch (rng draw, clock charge, breaker
     accounting, [perform]) runs under the transport's internal mutex,
@@ -204,7 +200,7 @@ type snapshot = {
   disconnects : int;  (** times the link died *)
   reconnects : int;
   breaker_trips : int;  (** transitions to [Open] *)
-  short_circuits : int;  (** reads refused by an open breaker *)
+  short_circuits : int;  (** refused off the wire: open breaker or a link already found dead *)
   deadline_hits : int;  (** reads refused by an exhausted budget *)
   retry_denials : int;  (** retries refused by the retry-budget gate *)
   sim_ms : float;  (** total simulated wire time ever charged *)
@@ -213,7 +209,6 @@ type snapshot = {
 }
 
 val snapshot : t -> snapshot
-val reset_counters : t -> unit
 
 (* ------------------------------------------------------------------ *)
 (** {1 Adaptive wire health} *)

@@ -397,6 +397,26 @@ let test_fleet_recovery () =
   Alcotest.(check bool) "budgets restored" true
     ((Option.get (Session.budget_of srv2 b)).Session.max_reads = Some 100_000)
 
+(* A recovery inside an admitted op must not zero the shared target's
+   cumulative cache counters: the server diffs them across that op, so a
+   reset would book the neighbour's traffic as a negative delta. *)
+let test_recover_keeps_counters_non_negative () =
+  let kernel = boot () in
+  let srv = Session.create kernel in
+  Session.add_target srv ~transport:(Transport.create Transport.qemu_local) "wire";
+  let a = admitted (Session.open_session ~target:"wire" srv "a") in
+  let b = admitted (Session.open_session ~target:"wire" srv "b") in
+  List.iter (fun f -> ignore (admitted (Session.vplot srv a (fig f)))) [ "3-4"; "7-1"; "9-2" ];
+  ignore (admitted (Session.vplot srv b (fig "3-4")));
+  ignore (admitted (Session.recover_session srv b));
+  List.iter
+    (fun sid ->
+      List.iter
+        (fun (k, v) ->
+          Alcotest.(check bool) (Printf.sprintf "session.%d.%s = %d >= 0" sid k v) true (v >= 0))
+        (Session.counters srv sid))
+    [ a; b ]
+
 (* ------------------------------------------------------------------ *)
 (* Obs export: breaker state and cache hit rate as gauges *)
 
@@ -435,4 +455,6 @@ let suite =
     Alcotest.test_case "cross-session cache hits" `Quick test_cross_session_cache_hits;
     Alcotest.test_case "fleet recovery reproduces pane and box ids" `Quick
       test_fleet_recovery;
+    Alcotest.test_case "recover_session keeps per-session counters >= 0" `Quick
+      test_recover_keeps_counters_non_negative;
     Alcotest.test_case "obs gauges: breaker state, cache hit rate" `Quick test_obs_gauges ]

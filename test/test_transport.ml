@@ -111,6 +111,51 @@ let test_breaker_zero_reads () =
     (sn0.Transport.short_circuits + 50)
     sn1.Transport.short_circuits
 
+let test_dead_link_one_timeout () =
+  (* the attempt that finds the link dead pays the timeout; every read
+     after it is refused off the wire, exactly like an open breaker's *)
+  let policy = Transport.default_policy in
+  let tr = Transport.create ~seed:3 ~policy Transport.kgdb_rpi400 in
+  ignore (Transport.fetch tr ~bytes:8 (fun () -> ()));
+  Transport.disconnect tr;
+  let sn0 = Transport.snapshot tr and ew0 = Transport.ewma tr in
+  let n = policy.Transport.breaker_threshold in
+  let calls = ref 0 in
+  for i = 1 to n do
+    Alcotest.(check bool) "breaker still closed before the threshold" true
+      (Transport.breaker tr = Transport.Closed);
+    match Transport.fetch tr ~bytes:8 (fun () -> incr calls) with
+    | Error Transport.Disconnected -> ()
+    | _ -> Alcotest.fail (Printf.sprintf "read %d on a dead link must be Disconnected" i)
+  done;
+  let sn1 = Transport.snapshot tr in
+  Alcotest.(check int) "thunk never ran" 0 !calls;
+  Alcotest.(check (float 0.)) "no wire ms charged" sn0.Transport.sim_ms sn1.Transport.sim_ms;
+  Alcotest.(check int) "no wire attempts" sn0.Transport.attempts sn1.Transport.attempts;
+  Alcotest.(check bool) "EWMA (and its sample count) untouched" true (ew0 = Transport.ewma tr);
+  Alcotest.(check int) "every refusal short-circuited"
+    (sn0.Transport.short_circuits + n)
+    sn1.Transport.short_circuits;
+  Alcotest.(check bool) "breaker Open after threshold refusals" true
+    (Transport.breaker tr = Transport.Open);
+  Transport.reconnect tr;
+  (match Transport.fetch tr ~bytes:8 (fun () -> 7) with
+  | Ok v -> Alcotest.(check int) "reads succeed after reconnect" 7 v
+  | Error e -> Alcotest.fail (Transport.error_to_string e));
+  Alcotest.(check bool) "probe closed the breaker" true (Transport.breaker tr = Transport.Closed);
+  (* a link lost mid-read: that attempt pays one timeout, the reads after it nothing *)
+  let tr =
+    Transport.create ~seed:3
+      ~faults:{ Transport.no_faults with Transport.disconnect_rate = 1. }
+      Transport.kgdb_rpi400
+  in
+  for _ = 1 to 3 do
+    ignore (Transport.fetch tr ~bytes:8 (fun () -> incr calls))
+  done;
+  Alcotest.(check (float 0.)) "one timeout for the lost link" policy.Transport.read_timeout_ms
+    (Transport.snapshot tr).Transport.sim_ms;
+  Alcotest.(check int) "no read ran on the lost link" 0 !calls
+
 let test_breaker_zero_kmem_reads () =
   (* same guarantee measured at the bottom of the stack: an open breaker
      means Kmem's read counter does not move *)
@@ -263,9 +308,17 @@ let test_recover_reproduces_session () =
   Transport.disconnect tr;
   Panel.mark_all_stale s.Visualinux.panel;
   let sc71 = Option.get (Scripts.find "7-1") in
+  let wire0 = (Transport.snapshot tr).Transport.sim_ms in
+  let faults0 = Target.fault_count s.Visualinux.target in
   let crash_pane, _, _ = Visualinux.plot_figure s sc71 in
   Alcotest.(check bool) "mid-crash plot degraded, not raised" true
     (Vgraph.box_count crash_pane.Panel.graph < 5);
+  Alcotest.(check (float 0.)) "a plot on a dead link charges no wire ms" wire0
+    (Transport.snapshot tr).Transport.sim_ms;
+  let crash_faults = List.filteri (fun i _ -> i >= faults0) (Target.faults s.Visualinux.target) in
+  Alcotest.(check bool) "its journal holds only Link_lost faults" true
+    (crash_faults <> []
+    && List.for_all (function Target.Link_lost _ -> true | _ -> false) crash_faults);
   (* recover: reconnect + journal replay *)
   let stale = Visualinux.recover s in
   Alcotest.(check int) "nothing stale once the link is back" 0 stale;
@@ -347,6 +400,8 @@ let suite =
     QCheck_alcotest.to_alcotest retries_never_exceed_cap;
     QCheck_alcotest.to_alcotest retry_cap_under_partial_loss;
     Alcotest.test_case "open breaker: zero underlying reads" `Quick test_breaker_zero_reads;
+    Alcotest.test_case "dead link: one timeout, then refusals" `Quick
+      test_dead_link_one_timeout;
     Alcotest.test_case "open breaker: Kmem counter frozen, faults typed" `Quick
       test_breaker_zero_kmem_reads;
     Alcotest.test_case "breaker: Open -> Half_open -> Closed" `Quick
