@@ -880,17 +880,18 @@ let sessions_bench ~n ~rate ~rounds ~seed =
   (* crash-safe fleet recovery: kill the server, replay every session's
      journal into a fresh one over the same kernel — pane and box ids
      come back *)
-  let snapshot = Session.save_fleet srv in
+  let image = Session.fleet_image srv in
   let recover_into () =
     let srv' = Session.create ~capacity:n kernel in
     Session.add_target srv' ~transport:(Transport.create ~seed Target.kgdb_rpi400) "wire";
-    let back = Session.recover_fleet srv' snapshot in
+    let back = (Session.recover_durable srv' image).Session.rsessions in
     assert (List.length back = n);
     ( srv',
       List.map
-        (function
-          | Session.Admitted (sid', _) -> sid'
-          | Session.Rejected { reason } -> failwith (Session.reason_to_string reason))
+        (fun (r : Session.srecovery) ->
+          if r.Session.rsalvage <> Session.Replayed then
+            failwith (Printf.sprintf "session %S not replayed whole" r.Session.rname);
+          r.Session.rsid)
         back )
   in
   let srv2, sids2 = recover_into () in
@@ -1693,17 +1694,7 @@ let par_run ~pool_size ~seed ~chaos_rate ~inject () =
         ((Unix.gettimeofday () -. t0) *. 1000.)
         +. ((Transport.snapshot tr).Transport.sim_ms -. sim0)
       in
-      wall := !wall +. fms;
-      if Sys.getenv_opt "PAR_DEBUG" <> None then begin
-        let fb = List.fold_left ( +. ) 0. (Viewcl.Dpool.timings pool) in
-        let cs = Target.cache_stats tgt in
-        let sn = Transport.snapshot tr in
-        Printf.printf
-          "  fig %-10s plot-ms %8.2f busy-cum %8.2f tasks-cum %3d wire-cum %6d \
-           hit-cum %6d miss-cum %5d coal-cum %5d\n"
-          sc.Scripts.fig fms fb (Viewcl.Dpool.executed pool) sn.Transport.reads_ok
-          cs.Target.hits cs.Target.misses cs.Target.coalesced
-      end)
+      wall := !wall +. fms)
     Scripts.table2;
   if c <> None then Workload.Chaos.disarm tgt;
   if inject then Kmem.clear_injection kernel.Kstate.ctx.Kcontext.mem;

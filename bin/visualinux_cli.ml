@@ -207,9 +207,9 @@ the shared target link — a refusal prints a typed reason, never a crash):
   session epoch          open a fresh budget/cache-stat epoch
   server status          targets, health/EWMA, breaker state, sessions
   server save <file>     checksummed durable image of the whole fleet
-  server recover <file>  fsck + replay a durable image (or legacy JSON
-                         snapshot) into this server; corrupt sessions
-                         come back salvaged/quarantined, never a crash
+  server recover <file>  fsck + replay a durable image into this
+                         server; corrupt sessions come back
+                         salvaged/quarantined, never a crash
   server fsck <file>     dry-run scan: checksum report + salvage plan
   vtop [k]               live fleet dashboard: target health, session
                          vitals, SLO burn rates, k slowest traces+links
@@ -631,16 +631,6 @@ let repl_cmd =
       | [ "server"; "recover"; file ] -> (
           match Durable.read_file file with
           | exception Sys_error e -> Error e
-          | image when String.length image > 0 && image.[0] = '{' ->
-              (* a legacy JSON fleet snapshot from an older `server save` *)
-              List.iter
-                (function
-                  | Session.Admitted (sid, stale) ->
-                      Printf.printf "session %d replayed (%d stale panes)\n" sid stale
-                  | Session.Rejected { reason } ->
-                      Printf.printf "refused: %s\n" (Session.reason_to_string reason))
-                (Session.recover_fleet srv image);
-              Ok ()
           | image ->
               print_string
                 (Session.recovery_to_string (Session.recover_durable srv image));

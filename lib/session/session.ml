@@ -1011,28 +1011,6 @@ let fleet_entry_of_json e =
     fe_ops = ops;
     fe_opno = int "opno" (List.length ops) }
 
-let recover_fleet srv json =
-  let j = Json.parse json in
-  let entries =
-    match Json.member "fleet" j with Some (Json.List l) -> l | _ -> []
-  in
-  List.map
-    (fun e ->
-      let fe = fleet_entry_of_json e in
-      match
-        open_session ~budget:fe.fe_budget ~faults:fe.fe_faults ~weight:fe.fe_weight
-          ~target:fe.fe_target srv fe.fe_name
-      with
-      | Rejected r -> Rejected r
-      | Admitted sid -> (
-          match
-            admit srv sid "recovers" (fun sess ->
-                Visualinux.recover ~ops:fe.fe_ops sess.vis)
-          with
-          | Rejected r -> Rejected r
-          | Admitted stale -> Admitted (sid, stale)))
-    entries
-
 (* ------------------------------------------------------------------ *)
 (* Durable recovery: fsck the image, then replay per-session op chains.
 

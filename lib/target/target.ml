@@ -243,7 +243,6 @@ let section_pages sec =
 
 let set_read_hook t h = t.read_hook <- h
 let set_hook_fork t f = t.hook_fork <- f
-let read_hook_armed t = t.read_hook <> None
 
 (* Fire the chaos hook after a performed read.  The guard stops a hook
    whose mutators themselves go through this target from recursing. *)

@@ -231,13 +231,6 @@ val set_read_hook : t -> (unit -> unit) option -> unit
     extraction.  Reentrant firing is suppressed: a hook whose own work
     reads through this target does not recurse. *)
 
-val read_hook_armed : t -> bool
-(** A read hook is currently installed.  Streamed container walks
-    consult this: a hook may mutate shared memory on the walking
-    thread's reads, so lanes must not run concurrently with the walk —
-    the interpreter falls back to the eager materialize-then-split
-    path whenever a hook is armed. *)
-
 val set_hook_fork : t -> (lane:int -> Kmem.t -> (unit -> unit) option) option -> unit
 (** Install (or clear) the read-hook forker consulted by {!fork}: given
     the lane id and the lane's own Kmem view, it derives that lane's

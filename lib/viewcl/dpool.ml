@@ -73,67 +73,40 @@ let create n =
 
 let size t = t.size
 
-(* A batch is an open set of tasks on the pool: {!add} publishes a task
-   immediately (idle members start on it while the submitter keeps
-   producing — the pipelining streamed container walks rely on), {!join}
-   helps drain and settles results in submission order. *)
-type 'a batch = {
-  bp : t;
-  mutable bn : int; (* tasks submitted *)
-  mutable bdone : int;
-  mutable bout : (int * ('a, exn) result) list; (* completion order *)
-}
-
-let batch t = { bp = t; bn = 0; bdone = 0; bout = [] }
-
-let add b thunk =
-  let t = b.bp in
-  Mutex.lock t.mutex;
-  let i = b.bn in
-  b.bn <- b.bn + 1;
-  let task () =
+(* A batch is settled in submission order: each task files its result
+   under its index and the submitter helps drain until every task of
+   the batch has finished. *)
+let run t thunks =
+  let n = List.length thunks in
+  let finished = ref 0 and out = ref [] in
+  let task i thunk () =
     let t0 = Unix.gettimeofday () in
     let r = try Ok (thunk ()) with e -> Error e in
     let dt = (Unix.gettimeofday () -. t0) *. 1000. in
     Mutex.lock t.mutex;
-    b.bout <- (i, r) :: b.bout;
-    b.bdone <- b.bdone + 1;
+    out := (i, r) :: !out;
+    incr finished;
     t.times_ms <- dt :: t.times_ms;
     t.executed <- t.executed + 1;
     Condition.broadcast t.cond;
     Mutex.unlock t.mutex
   in
   let wid = Domain.DLS.get wid_key in
-  t.deques.(wid) := task :: !(t.deques.(wid));
-  Condition.broadcast t.cond;
-  Mutex.unlock t.mutex
-
-let join b =
-  let t = b.bp in
-  let wid = Domain.DLS.get wid_key in
+  let dq = t.deques.(wid) in
   Mutex.lock t.mutex;
+  List.iteri (fun i thunk -> dq := task i thunk :: !dq) thunks;
+  Condition.broadcast t.cond;
   let rec help () =
-    if b.bdone < b.bn then
+    if !finished < n then
       match take t wid with
       | Some f -> Mutex.unlock t.mutex; f (); Mutex.lock t.mutex; help ()
       | None -> Condition.wait t.cond t.mutex; help ()
   in
   help ();
-  let out = b.bout in
-  b.bout <- [];
+  let results = !out in
   Mutex.unlock t.mutex;
-  let sorted = List.sort (fun (i, _) (j, _) -> compare i j) out in
+  let sorted = List.sort (fun (i, _) (j, _) -> compare i j) results in
   List.map (function _, Ok v -> v | _, Error e -> raise e) sorted
-
-let run t thunks =
-  let b = batch t in
-  List.iter (add b) thunks;
-  join b
-
-let record t ms =
-  Mutex.lock t.mutex;
-  t.times_ms <- ms :: t.times_ms;
-  Mutex.unlock t.mutex
 
 let timings t =
   Mutex.lock t.mutex;

@@ -8,7 +8,9 @@
     submission order, first raised exception (by submission index)
     re-raised.  [create 1] spawns nothing; {!run} then executes the
     batch on the caller, making one pool the identity baseline that
-    [--domains N] runs are compared against.
+    [--domains N] runs are compared against.  {!run} is the only way
+    to submit work, and {!timings} holds only what the pool itself
+    timed: the host wall of each task it ran.
 
     The pool schedules; it does not make lane execution deterministic.
     That is the submitted tasks' contract: each must depend only on its
@@ -31,30 +33,6 @@ val run : t -> (unit -> 'a) list -> 'a list
     exception is re-raised after the batch drains.  Reentrant: a task
     may itself call [run] on the same pool (it pushes to the deque of
     the member executing it and helps the nested batch drain). *)
-
-type 'a batch
-(** An open, incrementally-fed batch: tasks become runnable the moment
-    they are {!add}ed, so idle members execute early tasks while the
-    submitter is still producing later ones.  This is how a streamed
-    container walk overlaps its (inherently serial) pointer chase with
-    the lane box builds it feeds. *)
-
-val batch : t -> 'a batch
-val add : 'a batch -> (unit -> 'a) -> unit
-(** Publish one task.  Returns immediately; any member may pick the
-    task up at once. *)
-
-val join : 'a batch -> 'a list
-(** Help drain until every added task finished; results in submission
-    order, lowest-index exception re-raised after the drain, exactly
-    like {!run}.  The batch must not be {!add}ed to afterwards. *)
-
-val record : t -> float -> unit
-(** Fold an externally measured duration into {!timings} as one
-    pseudo-task: a streamed walk reports its own wall + wire cost this
-    way, so the schedule model packs the walk as lane-0 work that
-    overlaps the builds it feeds instead of counting it as
-    unparallelizable serial remainder. *)
 
 val timings : t -> float list
 (** Per-task cost in ms of every task completed since the last

@@ -305,12 +305,9 @@ let format_value st dec (tv : Target.value) : string * Vgraph.fval =
 let distilled name f =
   if Obs.enabled () then Obs.with_span ~cat:"viewcl" name f else f ()
 
-(* [head_v]: lvalue of (or pointer to) a list_head; emits node addrs
-   one by one as the pointer chase discovers them.  The emit-style
-   shape is what lets a pooled run stream chunks to lane tasks while
-   the walk is still chasing — the read sequence is identical to the
-   materializing wrapper below. *)
-let iter_list_emit st head_v emit =
+(* [head_v]: lvalue of (or pointer to) a list_head; returns node addrs *)
+let iter_list st head_v =
+  distilled "viewcl.distill.list" @@ fun () ->
   let tgt = st.tgt in
   let head =
     match head_v.Target.typ with
@@ -319,25 +316,21 @@ let iter_list_emit st head_v emit =
   in
   let next a = Target.as_int tgt (Target.member tgt (Target.obj (Ctype.Named "list_head") a) "next") in
   let seen = Hashtbl.create 64 in
-  let rec go a n =
-    if a = head || a = 0 then ()
+  let rec go a acc n =
+    if a = head || a = 0 then List.rev acc
     else if
       Hashtbl.mem seen a || n >= st.limits.max_nodes
       || Target.deadline_exceeded st.tgt
-    then truncated st ~ctx:"List traversal" a
+    then begin
+      truncated st ~ctx:"List traversal" a;
+      List.rev acc
+    end
     else begin
       Hashtbl.add seen a ();
-      emit (Vtgt (Target.ptr_to (Ctype.Named "list_head") a));
-      go (next a) (n + 1)
+      go (next a) (Vtgt (Target.ptr_to (Ctype.Named "list_head") a) :: acc) (n + 1)
     end
   in
-  go (next head) 0
-
-let iter_list st head_v =
-  distilled "viewcl.distill.list" @@ fun () ->
-  let acc = ref [] in
-  iter_list_emit st head_v (fun v -> acc := v :: !acc);
-  List.rev !acc
+  go (next head) [] 0
 
 let iter_hlist st head_v =
   distilled "viewcl.distill.hlist" @@ fun () ->
@@ -539,13 +532,10 @@ let rec eval st env e : value =
             else try_cases rest
       in
       try_cases cases)
-  | For_each { src; var; body } -> (
-      match stream_foreach st env src var body with
-      | Some container -> container
-      | None ->
-          let subject, elems = eval_iterable st env src in
-          let members = eval_members st env var body elems in
-          make_container st ?subject (container_label src) members)
+  | For_each { src; var; body } ->
+      let subject, elems = eval_iterable st env src in
+      let members = eval_members st env var body elems in
+      make_container st ?subject (container_label src) members
   | Apply { name; anchor; args } -> eval_apply st env name anchor args
   | Method { recv = "Array"; meth = "selectFrom"; args } -> (
       match args with
@@ -581,14 +571,17 @@ and eval_elem st env var body elem =
   in
   List.rev yields
 
-(* The parallel split point: any wide For_each — a top-level root loop
-   or a container nested inside a box build — fans its element list out
-   over the domain pool; everything narrower, already inside a lane, or
-   over a wire that could refuse a fetch ({!Target.can_split}: lane
-   misses are replayed at the join, which is exact only if every fetch
-   succeeds) evaluates sequentially in place.  Splits only ever happen
-   on the joining thread (a lane never re-splits), so the program-order
-   lane id counter stays race-free. *)
+(* The parallel split point, and the only one: every For_each source —
+   List walks included — is first materialized by {!eval_iterable} on
+   the calling thread, so the pointer chase itself is never split.  A
+   wide element list — a top-level root loop or a container nested
+   inside a box build — then fans out over the domain pool; everything
+   narrower, already inside a lane, or over a wire that could refuse a
+   fetch ({!Target.can_split}: lane misses are replayed at the join,
+   which is exact only if every fetch succeeds) evaluates sequentially
+   in place.  Splits only ever happen on the joining thread (a lane
+   never re-splits), so the program-order lane id counter stays
+   race-free. *)
 and eval_members st env var body elems =
   match st.pool with
   | Some pool
@@ -628,10 +621,11 @@ and eval_members_par st pool env var body elems =
     shards
 
 (* One lane shard: the whole lane-local world — target fork, graph
-   fork, plot cache, obs buffer — is built on the submitting thread
-   (forks capture nothing the submitter later mutates), then the
-   returned thunk can run on any member, even while the submitter is
-   still producing later shards (streamed walks). *)
+   fork, plot cache, obs buffer — is built on the submitting thread, in
+   lane order, before {!Dpool.run} (forks capture nothing the submitter
+   later mutates, so the read-cache stamps a lane starts from are a
+   function of the program, not of the steal schedule); the returned
+   thunk can then run on any member. *)
 and lane_task st env var body ~lane selems =
   let lgraph = Vgraph.fork st.graph in
   let lst =
@@ -654,94 +648,6 @@ and lane_task st env var body ~lane selems =
           List.concat_map (eval_elem lst env var body) selems)
     in
     (lst, lobs, members)
-
-(* Streamed (pipelined) List extraction.  A linked-list walk is an
-   inherently serial pointer chase — each [next] is a fresh wire
-   round-trip on a high-latency link — and materialize-then-split
-   leaves all of it as Amdahl serial remainder.  Here the walking
-   thread instead publishes each chunk of discovered nodes to the pool
-   the moment it is full, so idle domains build that chunk's boxes
-   while the walk is still chasing the tail; the walk's own wall + wire
-   cost is reported as one pool timing ({!Dpool.record}) — lane-0 work
-   the schedule model can overlap with the builds it feeds.
-
-   Guards: never inside a lane (no nested splits), never with a read
-   hook armed (a serial chaos mutator would race live lanes — eager
-   split keeps the parallel region quiescent), never over a wire that
-   could refuse a fetch ({!Target.can_split}), and lists shorter than
-   [par_fanout] fall back to the sequential path before any task is
-   submitted.  Chunking is a function of the discovery sequence alone
-   (fixed [par_fanout]-sized chunks, lane ids claimed in program
-   order), so the lane structure — and every per-lane rng stream — is
-   identical across --domains 1/2/4. *)
-and stream_foreach st env src var body =
-  match (src, st.pool) with
-  | Apply { name = "List"; args; _ }, Some pool
-    when st.lane = None && (not (Target.read_hook_armed st.tgt)) && Target.can_split st.tgt
-    ->
-      let tv = target_arg st env args in
-      let subject = subject_of st tv in
-      let t0 = Unix.gettimeofday () in
-      let sim () =
-        match Target.transport st.tgt with
-        | Some tr -> (Transport.snapshot tr).Transport.sim_ms
-        | None -> 0.
-      in
-      let sim0 = sim () in
-      let b = Dpool.batch pool in
-      let committed = ref false in
-      let pending = ref [] and npending = ref 0 in
-      let flush () =
-        if !npending > 0 then begin
-          let selems = List.rev !pending in
-          pending := [];
-          npending := 0;
-          let lane = st.split_seq + 1 in
-          st.split_seq <- lane;
-          Dpool.add b (lane_task st env var body ~lane selems)
-        end
-      in
-      let emit v =
-        pending := v :: !pending;
-        incr npending;
-        if !npending >= par_fanout then begin
-          committed := true;
-          flush ()
-        end
-      in
-      let walk_exn =
-        distilled "viewcl.distill.list" @@ fun () ->
-        try
-          iter_list_emit st tv emit;
-          None
-        with e -> Some e
-      in
-      if not !committed then begin
-        (* narrow list: no task was submitted, evaluate in place *)
-        (match walk_exn with Some e -> raise e | None -> ());
-        let members = eval_members st env var body (List.rev !pending) in
-        Some (make_container st ?subject "List" members)
-      end
-      else begin
-        flush ();
-        Dpool.record pool (((Unix.gettimeofday () -. t0) *. 1000.) +. (sim () -. sim0));
-        (* drain before deciding the outcome: lanes must be quiescent
-           (and their timings recorded) on every path, so a walk that
-           raised still yields a deterministic pool state *)
-        match walk_exn with
-        | Some e ->
-            (try ignore (Dpool.join b) with _ -> ());
-            raise e
-        | None ->
-            let shards = Dpool.join b in
-            let members =
-              List.concat_map
-                (fun (lst, lobs, members) -> merge_lane st lst lobs members)
-                shards
-            in
-            Some (make_container st ?subject "List" members)
-      end
-  | _ -> None
 
 (* Deterministic join of one lane, called on the joining domain in lane
    order.  Re-homes the lane's boxes into the shared graph/cache

@@ -1,5 +1,6 @@
 (* Parallel extraction: the cross-domain identity contract, pool
-   semantics (batches, streaming, timings), and the schedule model. *)
+   semantics (submission order, exceptions, lane timings), and the
+   schedule model. *)
 
 let figs () =
   List.filter
@@ -16,6 +17,8 @@ type outcome = {
   sim_ms : float;
   cache : Target.cache_stats;
   tasks : int;  (** lane tasks the pool ran (0 without a pool) *)
+  busy_ms : float;  (** sum of the pool's per-task timings (0 without a pool) *)
+  host_ms : float;  (** host wall of the plot calls, no simulated wire *)
 }
 
 (* One full extraction pass over a fresh kernel, mirroring the bench's
@@ -41,12 +44,18 @@ let run_figs ?pool_size ?(wire = ignore) ~chaos ~inject () =
     else None
   in
   if inject then Kmem.inject_read_failures k.Kstate.ctx.Kcontext.mem ~seed:5 0.02;
+  let host_ms = ref 0. in
   let renders =
     List.map
       (fun (sc : Scripts.script) ->
-        match Viewcl.run ~cfg:s.Visualinux.cfg ?pool tgt sc.Scripts.source with
-        | res -> Render.ascii res.Viewcl.graph
-        | exception Viewcl.Error e -> "ERROR: " ^ e)
+        let t0 = Unix.gettimeofday () in
+        let r =
+          match Viewcl.run ~cfg:s.Visualinux.cfg ?pool tgt sc.Scripts.source with
+          | res -> Render.ascii res.Viewcl.graph
+          | exception Viewcl.Error e -> "ERROR: " ^ e
+        in
+        host_ms := !host_ms +. ((Unix.gettimeofday () -. t0) *. 1000.);
+        r)
       (figs ())
   in
   if chaos then Workload.Chaos.disarm tgt;
@@ -65,7 +74,12 @@ let run_figs ?pool_size ?(wire = ignore) ~chaos ~inject () =
       attempts = sn.Transport.attempts;
       sim_ms = sn.Transport.sim_ms;
       cache = Target.cache_stats tgt;
-      tasks = Option.fold ~none:0 ~some:Viewcl.Dpool.executed pool }
+      tasks = Option.fold ~none:0 ~some:Viewcl.Dpool.executed pool;
+      busy_ms =
+        Option.fold ~none:0.
+          ~some:(fun p -> List.fold_left ( +. ) 0. (Viewcl.Dpool.timings p))
+          pool;
+      host_ms = !host_ms }
   in
   Option.iter Viewcl.Dpool.shutdown pool;
   Visualinux.detach s;
@@ -153,23 +167,16 @@ let test_exception_propagation () =
   | exception Boom i -> Alcotest.(check int) "lowest-index exception wins" 4 i);
   Viewcl.Dpool.shutdown p
 
-let test_batch_streaming () =
-  let p = Viewcl.Dpool.create 3 in
-  let b = Viewcl.Dpool.batch p in
-  List.iter (fun i -> Viewcl.Dpool.add b (fun () -> 2 * i)) (List.init 25 (fun i -> i));
-  Alcotest.(check (list int)) "join keeps submission order"
-    (List.init 25 (fun i -> 2 * i))
-    (Viewcl.Dpool.join b);
-  Viewcl.Dpool.shutdown p
-
-let test_record () =
-  let p = Viewcl.Dpool.create 1 in
-  ignore (Viewcl.Dpool.run p [ (fun () -> ()) ]);
-  Viewcl.Dpool.record p 40.;
-  (match Viewcl.Dpool.timings p with
-  | [ _; t2 ] -> Alcotest.(check (float 0.)) "record appends a pseudo-task" 40. t2
-  | l -> Alcotest.failf "expected 2 timings, got %d" (List.length l));
-  Viewcl.Dpool.shutdown p
+(* The pool times only the lane tasks it runs: host compute, never the
+   simulated wire (lanes own none) nor the serial walk that feeds them.
+   On a 1-pool every task runs on the caller inside a plot call, so the
+   timings cannot exceed the plots' host wall. *)
+let test_timings_are_lane_compute () =
+  let r = run_figs ~pool_size:1 ~chaos:false ~inject:false () in
+  Alcotest.(check bool) "the pool ran lane tasks" true (r.tasks > 0);
+  if r.busy_ms > r.host_ms then
+    Alcotest.failf "pool timings %.3f ms exceed the plots' host wall %.3f ms" r.busy_ms
+      r.host_ms
 
 let test_clock_concurrent_monotone () =
   let worst = Atomic.make 0. in
@@ -217,8 +224,7 @@ let suite =
     Alcotest.test_case "a fallible wire never splits" `Quick test_fallible_wire_never_splits;
     Alcotest.test_case "pool: run order, executed, steals" `Quick test_run_order_and_steals;
     Alcotest.test_case "pool: lowest-index exception" `Quick test_exception_propagation;
-    Alcotest.test_case "pool: streamed batch join" `Quick test_batch_streaming;
-    Alcotest.test_case "pool: record appends a timing" `Quick test_record;
+    Alcotest.test_case "pool: timings are lane compute" `Quick test_timings_are_lane_compute;
     Alcotest.test_case "clock: concurrent running max" `Quick test_clock_concurrent_monotone;
     Alcotest.test_case "model: LPT + amdahl arithmetic" `Quick test_model_speedup_math;
     QCheck_alcotest.to_alcotest prop_model_bounded ]

@@ -371,21 +371,22 @@ let test_fleet_recovery () =
     List.map (fun sid -> (sid, pane_state (Option.get (Session.vis srv sid))))
       (Session.session_ids srv)
   in
-  let snapshot = Session.save_fleet srv in
+  let image = Session.fleet_image srv in
   (* the server dies; a fresh one recovers the whole fleet *)
   let srv2 = mk () in
-  let outcomes = Session.recover_fleet srv2 snapshot in
-  let recovered = List.map (function
-    | Session.Admitted (sid, stale) -> (sid, stale)
-    | Session.Rejected { reason } ->
-        Alcotest.failf "fleet recovery refused: %s" (Session.reason_to_string reason))
-    outcomes
-  in
-  Alcotest.(check (list int)) "every session re-admitted under its old sid" [ a; b ]
-    (List.map fst recovered);
+  let recovered = (Session.recover_durable srv2 image).Session.rsessions in
   List.iter
-    (fun (sid, stale) ->
-      Alcotest.(check int) (Printf.sprintf "session %d: no stale panes" sid) 0 stale)
+    (fun (r : Session.srecovery) ->
+      if r.Session.rsalvage <> Session.Replayed then
+        Alcotest.failf "session %S not replayed whole" r.Session.rname)
+    recovered;
+  Alcotest.(check (list int)) "every session re-admitted under its old sid" [ a; b ]
+    (List.map (fun (r : Session.srecovery) -> r.Session.rsid) recovered);
+  List.iter
+    (fun (r : Session.srecovery) ->
+      Alcotest.(check int)
+        (Printf.sprintf "session %d: no stale panes" r.Session.rsid)
+        0 r.Session.rstale)
     recovered;
   let after =
     List.map (fun sid -> (sid, pane_state (Option.get (Session.vis srv2 sid))))
