@@ -34,6 +34,16 @@ type fault =
    section only, giving per-box granularity to the retry layer. *)
 type section = { sec_start : int; sec_pages : (int, int) Hashtbl.t }
 
+(* The link cost model lives in Transport (the connection layer owns its
+   own latency profile); re-exported here so existing callers keep
+   working unchanged. *)
+type profile = Transport.profile = {
+  pname : string;
+  rtt_ms : float;
+  byte_ms : float;
+  max_payload : int;
+}
+
 module Pages = Map.Make (Int)
 
 (* A lane's cache miss.  The lane performs the read from its own Kmem
@@ -404,7 +414,9 @@ let missed t ~ctx ~at ~len ~default ~fill perform =
       log_miss t log ~prefetch:false at len (fill v);
       v
   | Remote tr -> (
-      cache_miss t;
+      (* a refusal (link down, breaker open) bypassed the cache: it is a
+         short circuit on the wire, not a miss *)
+      if cache_usable t then cache_miss t;
       match Transport.fetch tr ~bytes:len served with
       | Ok v -> v
       | Error err ->
@@ -414,6 +426,16 @@ let missed t ~ctx ~at ~len ~default ~fill perform =
               record_fault t
                 (Link_lost { at; ctx; detail = Transport.error_to_string err }));
           default)
+
+let stale t a n = n > 0 && not (a >= 0 && a < null_guard) && not (pages_fresh t a n)
+
+(* One wire fetch of [\[a, a+n)] that stamps the extent when it lands. *)
+let coalesce t tr a n =
+  match Transport.fetch tr ~bytes:n (fun () -> ()) with
+  | Ok () ->
+      cache_coalesced t a n;
+      true
+  | Error _ -> false
 
 (* Struct-granular coalescing: fetch a whole object extent in one
    transport round-trip and stamp its pages, so the per-field reads that
@@ -425,16 +447,66 @@ let missed t ~ctx ~at ~len ~default ~fill perform =
    performs no Kmem read — no counters, no section registration, no
    injection draw — so it is invisible to everything but the wire. *)
 let prefetch t a n =
-  if cache_usable t && n > 0 && not (a >= 0 && a < null_guard) && not (pages_fresh t a n) then
+  if cache_usable t && stale t a n then
     match t.wire with
     | Local -> ()
     | Lane log ->
         log_miss t log ~prefetch:true a n n;
         fill_pages t a n
-    | Remote tr -> (
-        match Transport.fetch tr ~bytes:n (fun () -> ()) with
-        | Ok () -> cache_coalesced t a n
-        | Error _ -> ())
+    | Remote tr -> ignore (coalesce t tr a n)
+
+(* ------------------------------------------------------------------ *)
+(* The read planner: fewer, larger fetches.
+
+   A fetch pays one round trip plus its bytes, so two struct extents
+   on different fill units are cheaper as one fetch of the span between
+   them whenever the gap's bytes cost less than the round trip they
+   save.  Extents sharing one unit need no run: the first per-box
+   prefetch stamps the unit for all of them. *)
+
+let fill_unit = 1 lsl Kmem.page_bits
+
+let plan_runs (p : profile) extents =
+  let unit a = a / fill_unit in
+  (* a run [lo, hi) of [k] extents: only a merge over two units saves a
+     fetch, since the first box prefetch on a unit stamps it for all *)
+  let pays (lo, k, hi) = k >= 2 && unit (hi - 1) > unit lo in
+  let emit ((lo, _, hi) as r) acc = if pays r then (lo, hi - lo) :: acc else acc in
+  (* [fence]: the end of the last run issued; runs stay disjoint *)
+  let rec go run fence acc = function
+    | [] -> List.rev (match run with Some r -> emit r acc | None -> acc)
+    | (a, _) :: rest when a < fence -> go run fence acc rest
+    | (a, n) :: rest -> (
+        let e = a + n in
+        match run with
+        | Some (lo, k, hi) when unit a = unit lo ->
+            (* start at the later extent: the run stamps the same units *)
+            go (Some (a, k + 1, max hi e)) fence acc rest
+        | Some ((lo, k, hi) as r) when a < hi || float_of_int (a - hi) *. p.byte_ms < p.rtt_ms ->
+            if max hi e - lo <= p.max_payload then go (Some (lo, k + 1, max hi e)) fence acc rest
+            else
+              let fence = if pays r then hi else fence in
+              go (if a < fence then None else Some (a, 1, e)) fence (emit r acc) rest
+        | Some r -> go (Some (a, 1, e)) fence (emit r acc) rest
+        | None -> go (Some (a, 1, e)) fence acc rest)
+  in
+  extents
+  |> List.filter (fun (_, n) -> n > 0 && n <= p.max_payload)
+  |> List.sort compare |> go None 0 []
+
+let c_planned = Obs.Counter.make "cache.planned_runs"
+
+(* Each run is one [prefetch]: invisible to everything but the wire.  A
+   refused run stamps nothing, and its boxes then prefetch themselves. *)
+let prefetch_runs t extents =
+  match t.wire with
+  | Remote tr when cache_usable t ->
+      List.iter
+        (fun (a, n) ->
+          if cache_usable t && (not (Transport.deadline_exceeded tr)) && coalesce t tr a n then
+            Obs.Counter.incr c_planned)
+        (plan_runs (Transport.profile_of tr) (List.filter (fun (a, n) -> stale t a n) extents))
+  | Local | Remote _ | Lane _ -> ()
 
 let read_scalar t ~ctx a size signed =
   if not (validate t ~ctx a) then 0
@@ -709,15 +781,6 @@ type stats = { reads : int; bytes : int }
 
 let stats t = { reads = Kmem.read_count t.kmem; bytes = Kmem.bytes_read t.kmem }
 let reset_stats t = Kmem.reset_counters t.kmem
-
-(* The link cost model now lives in Transport (the connection layer owns
-   its own latency profile); re-exported here so existing callers keep
-   working unchanged. *)
-type profile = Transport.profile = {
-  pname : string;
-  rtt_ms : float;
-  byte_ms : float;
-}
 
 let profile = Transport.profile
 let qemu_local = Transport.qemu_local

@@ -298,12 +298,33 @@ val prefetch : t -> addr -> int -> unit
     without a transport, with the cache disabled, for empty extents and
     for null-page addresses. *)
 
+val fill_unit : int
+(** Bytes per read-cache fill unit (a 4 KiB Kmem page): a fetch stamps
+    every unit it touches. *)
+
+val plan_runs : Transport.profile -> (addr * int) list -> (addr * int) list
+(** [plan_runs p extents], pure: groups the sorted [(addr, len)]
+    extents into runs that start at an extent's start, end at an
+    extent's end, cross a gap only while [gap * byte_ms < rtt_ms] and
+    span at most [p.max_payload] bytes.  Returns, sorted and disjoint,
+    only the runs that merge two or more extents over two or more fill
+    units; any other extent is served as well by its own {!prefetch}. *)
+
+val prefetch_runs : t -> (addr * int) list -> unit
+(** [prefetch_runs t extents]: one {!prefetch} per {!plan_runs} run of
+    the extents whose fill units are not all fresh, each landed run
+    counted in [cache.planned_runs].  Invisible except on the wire, like
+    {!prefetch}; a refused run stamps nothing.  No-op unless the cache
+    is usable over a remote wire with deadline budget left. *)
+
 type cache_stats = { hits : int; misses : int; coalesced : int }
 (** Transport-avoidance accounting: [hits] = checked reads served
     without a round-trip (all pages generation-fresh), [misses] =
-    checked reads that went to the wire, [coalesced] = whole-struct
-    prefetch fetches.  All zero when no transport is attached — local
-    reads bypass the cache entirely. *)
+    checked reads the cache was consulted for but could not serve (a
+    read refused on a down link or open breaker bypasses the cache: a
+    transport short circuit, not a miss), [coalesced] = struct and
+    planned-run prefetch fetches.  All zero when no transport is
+    attached — local reads bypass the cache entirely. *)
 
 val cache_stats : t -> cache_stats
 val reset_cache_stats : t -> unit
@@ -337,9 +358,10 @@ type profile = Transport.profile = {
   pname : string;
   rtt_ms : float;
   byte_ms : float;
+  max_payload : int;
 }
 
-val profile : string -> float -> profile
+val profile : ?max_payload:int -> string -> float -> profile
 (** [profile name rtt_ms], per-byte cost pinned to [rtt/1024]. *)
 
 val qemu_local : profile

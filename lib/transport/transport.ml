@@ -12,10 +12,17 @@
    - A refused read (open breaker, or a link already found dead) never
      touches the wire: no charge, no EWMA sample, one short circuit. *)
 
-type profile = { pname : string; rtt_ms : float; byte_ms : float }
+type profile = { pname : string; rtt_ms : float; byte_ms : float; max_payload : int }
 
-let profile pname rtt_ms = { pname; rtt_ms; byte_ms = rtt_ms /. 1024. }
-let qemu_local = profile "gdb-qemu" 0.05
+(* The payload cap is about half a stub's packet buffer, because an RSP
+   [m] reply hex-encodes every byte as two characters: kgdb's arm64
+   gdbstub buffer is 2048 bytes (BUFMAX), so one reply carries ~1020
+   bytes after the [$...#cc] framing, and 1000 keeps a margin.  QEMU's
+   gdbstub buffer is 4096 bytes. *)
+let profile ?(max_payload = 1000) pname rtt_ms =
+  { pname; rtt_ms; byte_ms = rtt_ms /. 1024.; max_payload }
+
+let qemu_local = profile ~max_payload:2000 "gdb-qemu" 0.05
 let kgdb_rpi = profile "kgdb-rpi3b" 3.0
 let kgdb_rpi400 = profile "kgdb-rpi400" 2.5
 

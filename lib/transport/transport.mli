@@ -18,15 +18,20 @@
     really does mean zero underlying reads. *)
 
 (** A link's cost model, per paper Table 5: every read is one remote
-    round-trip plus per-byte serial cost. *)
-type profile = { pname : string; rtt_ms : float; byte_ms : float }
+    round-trip plus per-byte serial cost.  [max_payload] caps the bytes
+    of one reply packet; only the read planner ({!Target.plan_runs})
+    consults it. *)
+type profile = { pname : string; rtt_ms : float; byte_ms : float; max_payload : int }
 
-val profile : string -> float -> profile
+val profile : ?max_payload:int -> string -> float -> profile
 (** [profile name rtt_ms] with the per-byte cost pinned to [rtt/1024],
-    keeping transport ratios workload-independent (Table 5 shape). *)
+    keeping transport ratios workload-independent (Table 5 shape).
+    [max_payload] defaults to 1000 bytes, about half of kgdb's 2048-byte
+    gdbstub packet buffer (an [m] reply hex-encodes each byte). *)
 
 val qemu_local : profile
-(** GDB against local QEMU over a unix socket: ~0.05 ms round-trip. *)
+(** GDB against local QEMU over a unix socket: ~0.05 ms round-trip,
+    2000-byte payload (QEMU's gdbstub buffer is 4096 bytes). *)
 
 val kgdb_rpi : profile
 (** KGDB over serial to a Raspberry Pi 3B: ~3.0 ms per RSP round-trip. *)

@@ -1301,6 +1301,23 @@ let run_exn ?(cfg = default_config) ?(defs = []) ?(limits = default_limits) ?cac
       torn_sections = 0; retries = 0; repaired = 0; torn_boxes = 0 }
   in
   List.iter (fun d -> Hashtbl.replace st.defs d.bname d) defs;
+  (* A refresh knows its stale footprint before the walk: every memo
+     entry that will be rebuilt (degraded, or some stamped page moved).
+     Fetch those boxes' extents in merged runs up front; the rest stay
+     with each box's own prefetch. *)
+  if Target.transport tgt <> None then begin
+    let mem = Target.mem tgt in
+    Target.prefetch_runs tgt
+      (Hashtbl.fold
+         (fun _ e acc ->
+           if e.e_faulty || List.exists (fun (p, g) -> Kmem.page_generation mem p <> g) e.e_pages
+           then
+             match Vgraph.find cache.pc_graph e.e_box with
+             | Some b -> (b.Vgraph.addr, b.Vgraph.size) :: acc
+             | None -> acc
+           else acc)
+         cache.pc_by_box [])
+  end;
   let env = ref [] in
   let plots = ref [] in
   (try

@@ -315,6 +315,201 @@ let test_viewql_index_after_refresh () =
       Alcotest.(check (list int)) "index ids are unique and sorted"
         (List.sort_uniq compare ids) ids
 
+(* ------------------------------------------------------------------ *)
+(* The read planner: a refresh's stale footprint in merged runs *)
+
+let unit a = a / Target.fill_unit
+
+let units_of (a, n) = List.init (unit (a + n - 1) - unit a + 1) (fun i -> unit a + i)
+
+let plan_profile rtt_ms byte_ms max_payload =
+  { (Transport.profile "plan" rtt_ms) with Transport.byte_ms; max_payload }
+
+let test_plan_runs_examples () =
+  let base = Kmem.kernel_base and p = Transport.kgdb_rpi400 in
+  (* an mm_struct and a vm_area_struct 408 B apart across a page boundary *)
+  let mm = (base + 4096 - 200, 168) and vma = (base + 4096 + 376, 96) in
+  Alcotest.(check (list (pair int int))) "neighbours across a boundary merge"
+    [ (fst mm, 200 + 376 + 96) ] (Target.plan_runs p [ vma; mm ]);
+  Alcotest.(check (list (pair int int))) "same-page neighbours need no run" []
+    (Target.plan_runs p [ (base + 64, 96); (base + 512, 168) ]);
+  Alcotest.(check (list (pair int int))) "a gap past break-even splits" []
+    (Target.plan_runs p [ (base + 4096 - 200, 168); (base + 4096 + 1100, 96) ]);
+  Alcotest.(check (list (pair int int))) "a run past the payload cap splits" []
+    (Target.plan_runs { p with Transport.max_payload = 400 } [ mm; vma ]);
+  Alcotest.(check (list (pair int int))) "one extent alone is never a run" []
+    (Target.plan_runs p [ (base + 4096 - 100, 200) ])
+
+(* Runs are sorted, disjoint, start and end on extent boundaries, span
+   two or more pages, cross only gaps cheaper than a round trip, fit the
+   cap, and never cost more fetches than one per page: each run is one
+   fetch, and every page no run covers costs its own. *)
+let plan_runs_laws =
+  QCheck.Test.make ~name:"planned runs are disjoint, bounded and never cost more fetches"
+    ~count:500
+    QCheck.(
+      quad
+        (list_of_size Gen.(0 -- 24) (pair (int_bound (6 * 4096)) (int_range 1 700)))
+        (float_range 0.01 5.) (float_range 0.0001 0.01) (int_range 64 3000))
+    (fun (raw, rtt_ms, byte_ms, cap) ->
+      let p = plan_profile rtt_ms byte_ms cap in
+      let exts = List.map (fun (o, n) -> (Kmem.kernel_base + o, n)) raw in
+      let runs = Target.plan_runs p exts in
+      let rec sorted_disjoint = function
+        | (a, n) :: ((b, _) :: _ as rest) -> a + n <= b && sorted_disjoint rest
+        | _ -> true
+      in
+      let on_boundaries (lo, len) =
+        List.exists (fun (a, _) -> a = lo) exts
+        && List.exists (fun (a, n) -> a + n = lo + len) exts
+      in
+      (* walk the extents' coverage clipped to the run *)
+      let gaps_cheap (lo, len) =
+        let hi = lo + len in
+        let cur = ref lo and ok = ref true in
+        List.iter
+          (fun (a, n) ->
+            if a + n > lo && a < hi then begin
+              if a > !cur && float_of_int (a - !cur) *. byte_ms >= rtt_ms then ok := false;
+              cur := max !cur (a + n)
+            end)
+          (List.sort compare exts);
+        !ok && !cur >= hi
+      in
+      let uniq l = List.sort_uniq compare l in
+      let all_units = uniq (List.concat_map units_of exts) in
+      let run_units = uniq (List.concat_map units_of runs) in
+      let inside (a, n) = List.exists (fun (lo, len) -> a >= lo && a + n <= lo + len) runs in
+      let left =
+        uniq (List.concat_map units_of (List.filter (fun e -> not (inside e)) exts))
+        |> List.filter (fun u -> not (List.mem u run_units))
+      in
+      sorted_disjoint runs
+      && List.for_all on_boundaries runs
+      && List.for_all gaps_cheap runs
+      && List.for_all (fun r -> List.length (units_of r) >= 2) runs
+      && List.for_all (fun (_, len) -> len <= cap) runs
+      && List.length runs + List.length left <= List.length all_units)
+
+(* Two struct extents straddling a page boundary, on a kgdb target. *)
+let planner_target ?faults ?policy () =
+  let k = Kstate.boot () in
+  let tgt = Khelpers.attach k in
+  let tr = Transport.create ~seed:7 ?policy ?faults Target.kgdb_rpi400 in
+  Target.set_transport tgt tr;
+  let base = Kmem.kernel_base + (64 * 4096) in
+  (tgt, tr, [ (base - 200, 168); (base + 208, 96) ])
+
+let test_prefetch_runs_invisible () =
+  let tgt, tr, exts = planner_target () in
+  let mem = Target.mem tgt in
+  let init = Option.get (Target.lookup_symbol tgt "init_task") in
+  let sec = Target.begin_consistent tgt in
+  ignore (Target.as_int tgt (Target.member tgt init "pid"));
+  let reads0 = Kmem.read_count mem and pages0 = Target.section_pages sec in
+  let journal0 = Target.faults tgt and attempts0 = (Transport.snapshot tr).Transport.attempts in
+  Target.reset_cache_stats tgt;
+  Target.prefetch_runs tgt exts;
+  Alcotest.(check int) "one run on the wire" (attempts0 + 1)
+    (Transport.snapshot tr).Transport.attempts;
+  Alcotest.(check int) "counted as one coalesced fetch" 1 (Target.cache_stats tgt).Target.coalesced;
+  Alcotest.(check int) "no Kmem read" reads0 (Kmem.read_count mem);
+  Alcotest.(check (list (pair int int))) "no section registration" pages0
+    (Target.section_pages sec);
+  Alcotest.(check int) "no journal entry" (List.length journal0) (List.length (Target.faults tgt));
+  Alcotest.(check (list (pair int int))) "the section closes clean" []
+    (Target.end_consistent tgt sec);
+  (* both extents' pages are now stamped: their prefetches stay off the wire *)
+  List.iter (fun (a, n) -> Target.prefetch tgt a n) exts;
+  Alcotest.(check int) "box prefetches hit" (attempts0 + 1)
+    (Transport.snapshot tr).Transport.attempts
+
+let drop_everything = { Transport.stall_rate = 0.; drop_rate = 1.; disconnect_rate = 0. }
+
+let trip_policy =
+  { Transport.default_policy with
+    Transport.max_retries = 0; breaker_threshold = 2; breaker_cooldown_ms = 1e12 }
+
+let test_prefetch_runs_refused () =
+  let refused what setup =
+    let tgt, tr, exts = planner_target ~policy:trip_policy () in
+    setup tgt tr;
+    let before = Transport.snapshot tr in
+    Target.reset_cache_stats tgt;
+    Target.prefetch_runs tgt exts;
+    let after = Transport.snapshot tr in
+    Alcotest.(check (float 0.)) (what ^ ": charges 0 ms") before.Transport.sim_ms
+      after.Transport.sim_ms;
+    Alcotest.(check int) (what ^ ": no wire attempt") before.Transport.attempts
+      after.Transport.attempts;
+    Alcotest.(check int) (what ^ ": stamps nothing") 0 (Target.cache_stats tgt).Target.coalesced
+  in
+  refused "breaker open" (fun _ tr ->
+      Transport.set_faults tr drop_everything;
+      for _ = 1 to 2 do
+        ignore (Transport.fetch tr ~bytes:8 (fun () -> ()))
+      done;
+      Alcotest.(check bool) "breaker tripped" true (Transport.breaker tr = Transport.Open);
+      Transport.set_faults tr Transport.no_faults);
+  refused "link down" (fun _ tr -> Transport.disconnect tr);
+  refused "deadline spent" (fun tgt tr ->
+      Transport.set_deadline tr (Some 1.);
+      Transport.begin_plot tr;
+      let init = Option.get (Target.lookup_symbol tgt "init_task") in
+      ignore (Target.as_int tgt (Target.member tgt init "pid"));
+      Alcotest.(check bool) "budget spent" true (Transport.deadline_exceeded tr))
+
+(* A refusal bypasses the cache: a short circuit, not a miss. *)
+let test_refusal_is_not_a_miss () =
+  let tgt, tr, _ = planner_target ~policy:trip_policy ~faults:drop_everything () in
+  for _ = 1 to 2 do
+    ignore (Transport.fetch tr ~bytes:8 (fun () -> ()))
+  done;
+  Alcotest.(check bool) "breaker tripped" true (Transport.breaker tr = Transport.Open);
+  Target.reset_cache_stats tgt;
+  let sc0 = (Transport.snapshot tr).Transport.short_circuits in
+  let init = Option.get (Target.lookup_symbol tgt "init_task") in
+  ignore (Target.as_int tgt (Target.member tgt init "pid"));
+  Alcotest.(check int) "no miss" 0 (Target.cache_stats tgt).Target.misses;
+  Alcotest.(check int) "one short circuit" (sc0 + 1) (Transport.snapshot tr).Transport.short_circuits
+
+(* A box's own prefetch fits one kgdb reply for every kernel struct but
+   sighand_struct (64 sigactions, 1552 B), which a real stub would split
+   over two packets; the wire still charges it as one fetch. *)
+let test_structs_fit_payload () =
+  let reg = Target.types (Khelpers.attach (Kstate.boot ())) in
+  let cap = min Target.kgdb_rpi400.Target.max_payload Target.kgdb_rpi.Target.max_payload in
+  Alcotest.(check (list string)) "structs larger than the kgdb payload" [ "sighand_struct" ]
+    (List.filter
+       (fun name -> Ctype.sizeof reg (Ctype.Named name) > cap)
+       (Ctype.composite_names reg))
+
+(* Figure 9-2 on kgdb_rpi400, refreshed after one workload step: the
+   planner merges the mm_struct's page with the first vmas' page and a
+   vma pair across another boundary.  Pinned: 7 wire attempts carrying
+   2106 bytes (the unplanned refresh made 8 carrying 1240, 23.027 ms);
+   Kmem reads and bytes and the render are exactly the unplanned
+   refresh's. *)
+let test_planned_refresh_pinned () =
+  let k, w, s = session () in
+  let tr = Transport.create ~seed:7 Target.kgdb_rpi400 in
+  Target.set_transport s.Visualinux.target tr;
+  let src = source "9-2" in
+  let pane, _, _ = Visualinux.vplot s src in
+  Workload.step w;
+  Workload.simulate_time w;
+  let before = Transport.snapshot tr in
+  match Visualinux.vrefresh s ~pane:pane.Panel.pid with
+  | None -> Alcotest.fail "vrefresh failed"
+  | Some (res, st) ->
+      let after = Transport.snapshot tr in
+      Alcotest.(check int) "wire attempts" 7 (after.Transport.attempts - before.Transport.attempts);
+      Alcotest.(check (float 1e-9)) "sim ms" 22.6416015625 (after.Transport.sim_ms -. before.Transport.sim_ms);
+      Alcotest.(check int) "Kmem reads" 195 st.Visualinux.reads;
+      Alcotest.(check int) "Kmem bytes" 3296 st.Visualinux.read_bytes;
+      Alcotest.(check string) "render equals a transport-less extraction"
+        (canonical (cold_plot k src)) (canonical res.Viewcl.graph)
+
 let suite =
   [ Alcotest.test_case "repeat plot skips the transport" `Quick test_repeat_plot_skips_transport;
     Alcotest.test_case "struct reads are coalesced" `Quick test_coalescing_counts;
@@ -327,4 +522,14 @@ let suite =
     Alcotest.test_case "redefined btype reallocates" `Quick test_redefined_btype_reallocates;
     Alcotest.test_case "graph bounded across refreshes" `Quick
       test_graph_bounded_across_refreshes;
-    Alcotest.test_case "viewql index survives refresh" `Quick test_viewql_index_after_refresh ]
+    Alcotest.test_case "viewql index survives refresh" `Quick test_viewql_index_after_refresh;
+    Alcotest.test_case "planner merges across a page boundary" `Quick test_plan_runs_examples;
+    QCheck_alcotest.to_alcotest plan_runs_laws;
+    Alcotest.test_case "planned runs are invisible but on the wire" `Quick
+      test_prefetch_runs_invisible;
+    Alcotest.test_case "refused planned runs charge and stamp nothing" `Quick
+      test_prefetch_runs_refused;
+    Alcotest.test_case "a refused read is not a cache miss" `Quick test_refusal_is_not_a_miss;
+    Alcotest.test_case "kernel structs fit the kgdb payload" `Quick
+      test_structs_fit_payload;
+    Alcotest.test_case "planned figure 9-2 refresh, pinned" `Quick test_planned_refresh_pinned ]
