@@ -408,8 +408,9 @@ let degradation ~rates ~profile ~deadline_ms ~seed =
       let tr =
         Transport.create ~seed ~faults:(Transport.faults_of_rate rate) profile
       in
-      Transport.set_deadline tr deadline_ms;
-      let s = Visualinux.attach ~transport:tr kernel in
+      let s = Visualinux.attach kernel in
+      Target.set_transport s.Visualinux.target tr
+        ~op:{ Transport.solo with deadline_ms };
       let plots = ref 0 and failed = ref 0 and boxes = ref 0 and broken = ref 0 in
       let suspects = ref 0 in
       let fetch_ms = ref 0. and interp_ms = ref 0. and render_ms = ref 0. in
@@ -1048,6 +1049,23 @@ let sessions_bench ~n ~rate ~rounds ~seed =
   List.iter
     (fun (k, v) -> if String.starts_with ~prefix:"session." k then assert (v >= 0))
     (Obs.Metrics.counters ());
+  (* ...and they add up: every read, cache decision, budget refusal and
+     wire ms on a fleet's one shared link is billed to exactly one
+     session, canary resyncs included *)
+  List.iter
+    (fun (s, sids) ->
+      let sum name = List.fold_left (fun a sid -> a + Session.counter s sid name) 0 sids in
+      let tgt = (Option.get (Session.vis s (List.hd sids))).Visualinux.target in
+      let sn = Transport.snapshot (Option.get (Target.transport tgt)) in
+      let cs = Target.cache_stats tgt in
+      assert (sum "reads" = sn.Transport.reads_ok);
+      assert (sum "budget.refusals" = sn.Transport.deadline_hits);
+      assert (sum "cache.hits" = cs.Target.hits);
+      assert (sum "cache.misses" = cs.Target.misses);
+      assert (sum "cache.coalesced" = cs.Target.coalesced);
+      let wire = List.fold_left (fun a sid -> a +. Session.wire_ms s sid) 0. sids in
+      assert (Float.abs (wire -. sn.Transport.sim_ms) <= 1e-6))
+    [ (srv_a, sids_a); (srv, sids) ];
   print_endline
     "\n(isolation gate: one session storming at the given fault rate — plus one\n\
     \ forced breaker-Open round — left the other sessions' p95 within 25% of the\n\

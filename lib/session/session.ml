@@ -1,9 +1,10 @@
 (** Multi-session server implementation.  See session.mli for the
     contract; the mechanics in one paragraph: every session op (a) is
     admission-checked against capacity, budgets and the target's
-    quarantine state, (b) swaps the session's fault config, per-plot
-    deadline and a budget gate onto the shared transport, (c) runs the
-    underlying {!Visualinux} command, (d) captures the op's fault,
+    quarantine state, (b) binds the target's reads to the session's
+    own {!Transport.op} (fault config, per-plot deadline, budget and
+    retry gates) for the op's duration, (c) runs the underlying
+    {!Visualinux} command, (d) captures the op's fault,
     read, cache-stat and wire-time deltas into the session's private
     accounting, and (e) advances the target's Healthy -> Quarantine ->
     Probation state machine from the breaker/link state the op left
@@ -83,7 +84,7 @@ type sess = {
   name : string;
   vis : Visualinux.session;
   shared : shared;
-  mutable sfaults : Transport.faults;  (* swapped onto the link per op *)
+  mutable sfaults : Transport.faults;  (* the faults of this session's ops *)
   mutable sbudget : budget;
   mutable weight : int;  (* fair-admission priority weight, >= 1 *)
   mutable rb_tokens : int;  (* retry-budget tokens left (when capped) *)
@@ -549,23 +550,19 @@ let healthy_replica srv sh =
 (* The probe read, charged to the acting session: bring a dead link /
    open breaker back to Half_open first (a refused fetch charges
    nothing, so cooldown alone never elapses), then fire one 8-byte
-   canary under the session's own fault config.  The canary's reads and
-   wire ms land on the session's epoch budget — a Half_open breaker's
-   probe is real traffic, not free — and its outcome feeds the wire's
-   health EWMA, which is what eventually satisfies the quarantine-exit
-   decay gate. *)
+   canary under the session's own fault config.  The resync and the
+   canary's reads and wire ms land on the session's epoch budget — a
+   Half_open breaker's probe is real traffic, not free — and its
+   outcome feeds the wire's health EWMA, which is what eventually
+   satisfies the quarantine-exit decay gate. *)
 let fire_canary sess sh =
   match Target.transport sh.target with
   | None -> ()
   | Some tr ->
-      if link_bad tr then Transport.reconnect tr;
-      let saved = Transport.faults_of tr in
       let s0 = Transport.snapshot tr in
-      Transport.set_faults tr sess.sfaults;
-      Transport.set_deadline tr None;
+      if link_bad tr then Transport.reconnect tr;
       Transport.begin_plot tr;
-      ignore (Transport.fetch tr ~bytes:8 (fun () -> ()));
-      Transport.set_faults tr saved;
+      ignore (Transport.fetch tr { Transport.solo with faults = sess.sfaults } ~bytes:8 ignore);
       let s1 = Transport.snapshot tr in
       let dr = s1.Transport.reads_ok - s0.Transport.reads_ok in
       sess.sreads <- sess.sreads + dr;
@@ -705,72 +702,57 @@ let quarantined_gauge srv =
     Obs.Metrics.set_gauge "session.quarantined_targets" (float_of_int n)
   end
 
-(* Swap the session's fault config, deadline, budget gate and retry
-   budget onto the op's transport (the home link, or — when [route] says
-   [Hedged] — the healthy replica's), run [f], then capture this op's
-   deltas (faults, reads, wire ms, cache stats) into the session's
-   private accounting — restoring the link's config, and the home
-   transport on a hedged op, on every path {e before} the health update
-   reads the home wire's state. *)
+(* Build the session's policy for this op — its faults, plot deadline,
+   admission gate and retry budget — and run [f] with the target's reads
+   under it, over the home link or, when [route] says [Hedged], the
+   healthy replica's; then capture this op's deltas (faults, reads,
+   wire ms, cache stats) into the session's private accounting.  The
+   wire scope closes before the health update reads the home wire. *)
 let run_isolated srv ~route sess f =
   let sh = sess.shared in
   let tgt = sh.target in
-  let home_tr = Target.transport tgt in
-  (match route with
-  | Hedged rep -> Option.iter (Target.set_transport tgt) (Target.transport rep.target)
-  | Home -> ());
-  let tr_opt = Target.transport tgt in
-  let saved_faults = Option.map Transport.faults_of tr_opt in
+  let tr_opt =
+    match route with Home -> Target.transport tgt | Hedged rep -> Target.transport rep.target
+  in
   (* token-bucket refill: one retry token earned per op, up to the cap *)
   (match sess.sbudget.retry_burst with
   | Some cap -> if sess.rb_tokens < cap then sess.rb_tokens <- sess.rb_tokens + 1
   | None -> ());
-  let snap0 =
-    match tr_opt with Some tr -> Some (Transport.snapshot tr) | None -> None
-  in
+  let snap0 = Option.map Transport.snapshot tr_opt in
   let cs0 = Target.cache_stats tgt in
   (* the global fault journal is drained per op (see below), so the op's
      faults are exactly [Target.faults tgt] afterwards *)
   Target.clear_faults tgt;
-  Option.iter
-    (fun tr ->
-      Transport.set_faults tr sess.sfaults;
-      Transport.set_deadline tr sess.sbudget.plot_deadline_ms;
-      Transport.set_retry_gate tr
-        (match sess.sbudget.retry_burst with
-        | None -> None
-        | Some _ ->
-            Some
-              (fun () ->
-                if sess.rb_tokens > 0 then begin
-                  sess.rb_tokens <- sess.rb_tokens - 1;
-                  true
-                end
-                else begin
-                  bump sess "retry.denied";
-                  false
-                end));
-      let op_reads = ref 0 in
-      let sim0 = (Transport.snapshot tr).Transport.sim_ms in
-      Transport.set_gate tr
-        (Some
-           (fun ~bytes:_ ->
-             match sess.sbudget.max_reads with
-             | Some lim when sess.sreads + !op_reads >= lim ->
-                 Some Transport.Deadline_exceeded
-             | _ -> (
-                 match sess.sbudget.max_sim_ms with
-                 | Some lim
-                   when sess.ssim_ms +. ((Transport.snapshot tr).Transport.sim_ms -. sim0)
-                        >= lim ->
-                     Some Transport.Deadline_exceeded
-                 | _ ->
-                     incr op_reads;
-                     None))))
-    tr_opt;
+  let op_on tr =
+    let op_reads = ref 0 in
+    let sim0 = (Transport.snapshot tr).Transport.sim_ms in
+    let admit ~bytes:_ =
+      match sess.sbudget.max_reads with
+      | Some lim when sess.sreads + !op_reads >= lim -> Some Transport.Deadline_exceeded
+      | _ -> (
+          match sess.sbudget.max_sim_ms with
+          | Some lim
+            when sess.ssim_ms +. ((Transport.snapshot tr).Transport.sim_ms -. sim0) >= lim ->
+              Some Transport.Deadline_exceeded
+          | _ ->
+              incr op_reads;
+              None)
+    in
+    let retry () =
+      if sess.rb_tokens > 0 then begin
+        sess.rb_tokens <- sess.rb_tokens - 1;
+        true
+      end
+      else begin
+        bump sess "retry.denied";
+        false
+      end
+    in
+    { Transport.faults = sess.sfaults; deadline_ms = sess.sbudget.plot_deadline_ms;
+      admit = Some admit; retry = Option.map (fun _ -> retry) sess.sbudget.retry_burst }
+  in
   let t0 = Obs.Clock.now_ms () in
   let finish () =
-    (* accounting first, then restore the link for the next session *)
     let wall = Obs.Clock.elapsed_ms t0 in
     let faults = Target.faults tgt in
     Target.clear_faults tgt;
@@ -795,17 +777,7 @@ let run_isolated srv ~route sess f =
       | _ -> 0.
     in
     if Obs.enabled () then Obs.Metrics.observe (ns sess "op_ms") (wall +. sim_delta);
-    Option.iter
-      (fun tr ->
-        Transport.set_gate tr None;
-        Transport.set_retry_gate tr None;
-        Option.iter (Transport.set_faults tr) saved_faults)
-      tr_opt;
-    (match route with
-    | Hedged _ ->
-        bump sess "hedged.ops";
-        Option.iter (Target.set_transport tgt) home_tr
-    | Home -> ());
+    (match route with Hedged _ -> bump sess "hedged.ops" | Home -> ());
     update_health srv sh sess;
     health_gauges sh;
     quarantined_gauge srv
@@ -826,7 +798,9 @@ let run_isolated srv ~route sess f =
               f ())
     | _ -> f
   in
-  match f () with
+  match
+    match tr_opt with Some tr -> Target.with_wire tgt tr (op_on tr) f | None -> f ()
+  with
   | x ->
       finish ();
       x

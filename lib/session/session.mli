@@ -3,10 +3,11 @@
 
     Sessions are interleaved, not threaded — every v-command runs to
     completion before the next — which makes exact per-session
-    accounting possible: the server swaps each session's transport
-    fault configuration, per-plot deadline and admission gate onto the
-    shared link for the duration of its op, then captures the fault
-    journal, read, cache and wire-time deltas that op produced.  The
+    accounting possible: each op's reads run under the session's own
+    {!Transport.op} (fault configuration, per-plot deadline, admission
+    and retry gates), bound to the shared target for that op alone, and
+    the server captures the fault journal, read, cache and wire-time
+    deltas the op produced.  The
     result is {e fault isolation}: one session's fault storm, torn-read
     burst or breaker-Open never shows up in another session's rendered
     bytes, per-session counters or recovery state, while the sessions

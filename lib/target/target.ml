@@ -63,7 +63,7 @@ type miss = {
 (* Where a read the cache cannot serve goes. *)
 type wire =
   | Local  (* no transport: reads are local and free, the cache is bypassed *)
-  | Remote of Transport.t
+  | Remote of (Transport.t * Transport.op)  (* the link, and the policy its reads run under *)
   | Lane of miss list ref  (* a fork: misses logged, newest first *)
 
 type t = {
@@ -121,11 +121,18 @@ let create kmem reg =
 
 let mem t = t.kmem
 let types t = t.reg
-let set_transport t tr = t.wire <- Remote tr
-let transport t = match t.wire with Remote tr -> Some tr | Local | Lane _ -> None
+let set_transport ?(op = Transport.solo) t tr = t.wire <- Remote (tr, op)
+let transport t = match t.wire with Remote (tr, _) -> Some tr | Local | Lane _ -> None
+
+let with_wire t tr op f =
+  let saved = t.wire in
+  t.wire <- Remote (tr, op);
+  Fun.protect ~finally:(fun () -> t.wire <- saved) f
 
 let deadline_exceeded t =
-  match t.wire with Remote tr -> Transport.deadline_exceeded tr | Local | Lane _ -> false
+  match t.wire with
+  | Remote (tr, op) -> Transport.deadline_exceeded tr op
+  | Local | Lane _ -> false
 
 (* ------------------------------------------------------------------ *)
 (* Fault journal *)
@@ -356,7 +363,7 @@ let cache_usable t =
   &&
   match t.wire with
   | Local -> false
-  | Remote tr -> Transport.link tr = Transport.Up && Transport.breaker tr = Transport.Closed
+  | Remote (tr, _) -> Transport.link tr = Transport.Up && Transport.breaker tr = Transport.Closed
   | Lane _ -> true
 
 (* The running hit rate as a metrics gauge, refreshed on every cache
@@ -413,11 +420,11 @@ let missed t ~ctx ~at ~len ~default ~fill perform =
       let v = served () in
       log_miss t log ~prefetch:false at len (fill v);
       v
-  | Remote tr -> (
+  | Remote (tr, op) -> (
       (* a refusal (link down, breaker open) bypassed the cache: it is a
          short circuit on the wire, not a miss *)
       if cache_usable t then cache_miss t;
-      match Transport.fetch tr ~bytes:len served with
+      match Transport.fetch tr op ~bytes:len served with
       | Ok v -> v
       | Error err ->
           (match err with
@@ -430,8 +437,8 @@ let missed t ~ctx ~at ~len ~default ~fill perform =
 let stale t a n = n > 0 && not (a >= 0 && a < null_guard) && not (pages_fresh t a n)
 
 (* One wire fetch of [\[a, a+n)] that stamps the extent when it lands. *)
-let coalesce t tr a n =
-  match Transport.fetch tr ~bytes:n (fun () -> ()) with
+let coalesce t (tr, op) a n =
+  match Transport.fetch tr op ~bytes:n (fun () -> ()) with
   | Ok () ->
       cache_coalesced t a n;
       true
@@ -453,7 +460,7 @@ let prefetch t a n =
     | Lane log ->
         log_miss t log ~prefetch:true a n n;
         fill_pages t a n
-    | Remote tr -> ignore (coalesce t tr a n)
+    | Remote w -> ignore (coalesce t w a n)
 
 (* ------------------------------------------------------------------ *)
 (* The read planner: fewer, larger fetches.
@@ -500,10 +507,10 @@ let c_planned = Obs.Counter.make "cache.planned_runs"
    refused run stamps nothing, and its boxes then prefetch themselves. *)
 let prefetch_runs t extents =
   match t.wire with
-  | Remote tr when cache_usable t ->
+  | Remote ((tr, op) as w) when cache_usable t ->
       List.iter
         (fun (a, n) ->
-          if cache_usable t && (not (Transport.deadline_exceeded tr)) && coalesce t tr a n then
+          if cache_usable t && (not (Transport.deadline_exceeded tr op)) && coalesce t w a n then
             Obs.Counter.incr c_planned)
         (plan_runs (Transport.profile_of tr) (List.filter (fun (a, n) -> stale t a n) extents))
   | Local | Remote _ | Lane _ -> ()
@@ -813,7 +820,10 @@ let simulated_ms p st =
 (* A lane's reads always succeed, so its log replays exactly only over
    a wire that cannot refuse a fetch. *)
 let can_split t =
-  match t.wire with Local -> true | Remote tr -> Transport.infallible tr | Lane _ -> false
+  match t.wire with
+  | Local -> true
+  | Remote (tr, op) -> Transport.infallible tr op
+  | Lane _ -> false
 
 let fork ?(lane = 0) t =
   if not (can_split t) then invalid_arg "Target.fork: the wire can refuse a fetch";
@@ -851,7 +861,7 @@ let is_fork t = Kmem.is_fork t.kmem
    parent's wire that fills the parent cache.  It is counted as
    whatever it turned out to be, as the sequential read would have
    been. *)
-let replay t tr m =
+let replay t (tr, op) m =
   let rec stamped p = function
     | [] -> true
     | g :: gs -> (
@@ -864,7 +874,7 @@ let replay t tr m =
   end
   else begin
     if not m.m_prefetch then cache_miss t;
-    match Transport.fetch tr ~bytes:m.m_len (fun () -> ()) with
+    match Transport.fetch tr op ~bytes:m.m_len (fun () -> ()) with
     | Ok () ->
         if m.m_prefetch then cache_coalesced t m.m_at m.m_fill
         else if t.cache_on then fill_pages t m.m_at m.m_fill
@@ -884,7 +894,7 @@ let absorb t child =
   t.ch_hits <- t.ch_hits + child.ch_hits;
   child.ch_hits <- 0;
   match (t.wire, child.wire) with
-  | Remote tr, Lane log ->
-      List.iter (replay t tr) (List.rev !log);
+  | Remote w, Lane log ->
+      List.iter (replay t w) (List.rev !log);
       log := []
   | _ -> ()

@@ -73,14 +73,19 @@ val types : t -> Ctype.registry
 (* ------------------------------------------------------------------ *)
 (* Transport — the (simulated) debugger link *)
 
-val set_transport : t -> Transport.t -> unit
-(** Route every checked read through [tr]: reads the transport refuses
-    (breaker open, link down, budget spent, retries exhausted) record a
-    {!fault.Timed_out} or {!fault.Link_lost} fault and yield zero/empty
-    data instead of touching memory. Without a transport (the default)
-    reads hit {!Kmem} directly, as before. *)
+val set_transport : ?op:Transport.op -> t -> Transport.t -> unit
+(** Route every checked read through [tr] under [op] (default
+    {!Transport.solo}): reads the transport refuses (breaker open, link
+    down, budget spent, retries exhausted) record a {!fault.Timed_out}
+    or {!fault.Link_lost} fault and yield zero/empty data instead of
+    touching memory. Without a transport (the default) reads hit
+    {!Kmem} directly, as before. *)
 
 val transport : t -> Transport.t option
+
+val with_wire : t -> Transport.t -> Transport.op -> (unit -> 'a) -> 'a
+(** [with_wire t tr op f] runs [f] with [t]'s reads going through [tr]
+    under [op], then rebinds the previous wire, even on an exception. *)
 
 val deadline_exceeded : t -> bool
 (** True when an attached transport's per-plot budget is spent — used
@@ -243,7 +248,7 @@ val set_hook_fork : t -> (lane:int -> Kmem.t -> (unit -> unit) option) option ->
 
 val can_split : t -> bool
 (** A loop over [t] may fan out into {!fork}ed lanes: there is no
-    transport, or its wire cannot refuse a fetch
+    transport, or its wire cannot refuse a fetch under the bound op
     ({!Transport.infallible}).  Lanes log their misses for replay at
     {!absorb}, which is exact only when every fetch succeeds — so a
     faulty, gated or deadline-bound wire (every session op) keeps its

@@ -10,7 +10,9 @@
    - The breaker counts *reads*, not attempts: a read that eventually
      succeeds after two dropped replies resets the failure streak.
    - A refused read (open breaker, or a link already found dead) never
-     touches the wire: no charge, no EWMA sample, one short circuit. *)
+     touches the wire: no charge, no EWMA sample, one short circuit.
+   - The transport holds only the wire's own state; a caller's policy
+     is an immutable [op] passed to every fetch. *)
 
 type profile = { pname : string; rtt_ms : float; byte_ms : float; max_payload : int }
 
@@ -81,11 +83,19 @@ let error_to_string = function
   | Disconnected -> "disconnected"
   | Retries_exhausted -> "retries-exhausted"
 
+type op = {
+  faults : faults;
+  deadline_ms : float option;
+  admit : (bytes:int -> error option) option;
+  retry : (unit -> bool) option;
+}
+
+let solo = { faults = no_faults; deadline_ms = None; admit = None; retry = None }
+
 type t = {
   prof : profile;
   seed : int;
   mutable policy : policy;
-  mutable faults : faults;  (* per-session overlay (swapped per op) *)
   mutable base_faults : faults;  (* the wire's own weather *)
   mutable rng : int;
   mutable link : link;
@@ -94,16 +104,9 @@ type t = {
   mutable half_open_at : float;  (* clock time when an Open breaker may probe *)
   mutable clock_ms : float;  (* simulated wire time, whole lifetime *)
   mutable spent_ms : float;  (* simulated wire time, current plot *)
-  mutable deadline_ms : float option;
-  mutable gate : (bytes:int -> error option) option;
-      (* session-server admission hook: consulted (and charged) on every
-         fetch before the wire is touched *)
-  mutable retry_gate : (unit -> bool) option;
-      (* retry-budget hook: consulted before every retry; [false] denies
-         the retry and the read degrades like an exhausted deadline *)
   (* wire-health EWMAs: per-attempt fault rate and latency, moved only
-     by wire-attributed outcomes (base faults and clean reads) — a
-     session's own overlay faults say nothing about the link *)
+     by wire-attributed outcomes (base faults and clean reads) — an
+     op's own faults say nothing about the link *)
   mutable ew_fault : float;
   mutable ew_lat : float;
   mutable ew_n : int;
@@ -129,10 +132,9 @@ type t = {
 }
 
 let create ?(seed = 0x9e3779b9) ?(policy = default_policy) ?(faults = no_faults) prof =
-  { prof; seed; policy; faults; base_faults = no_faults; rng = seed; link = Up;
+  { prof; seed; policy; base_faults = faults; rng = seed; link = Up;
     brk = Closed; consec_failures = 0;
-    half_open_at = 0.; clock_ms = 0.; spent_ms = 0.; deadline_ms = None; gate = None;
-    retry_gate = None; ew_fault = 0.; ew_lat = 0.; ew_n = 0;
+    half_open_at = 0.; clock_ms = 0.; spent_ms = 0.; ew_fault = 0.; ew_lat = 0.; ew_n = 0;
     reads_ok = 0;
     attempts = 0; retries = 0; stalls = 0; drops = 0; disconnects = 0; reconnects = 0;
     breaker_trips = 0; short_circuits = 0; deadline_hits = 0; retry_denials = 0;
@@ -141,11 +143,7 @@ let create ?(seed = 0x9e3779b9) ?(policy = default_policy) ?(faults = no_faults)
 let profile_of t = t.prof
 let link t = t.link
 let breaker t = t.brk
-let set_faults t f = t.faults <- f
-let faults_of t = t.faults
 let set_base_faults t f = t.base_faults <- f
-let set_gate t g = t.gate <- g
-let set_retry_gate t g = t.retry_gate <- g
 
 (* ------------------------------------------------------------------ *)
 (* Wire-health EWMA *)
@@ -272,8 +270,6 @@ let read_succeeded t =
 (* ------------------------------------------------------------------ *)
 (* Budget *)
 
-let set_deadline t d = t.deadline_ms <- d
-
 let begin_plot t =
   t.spent_ms <- 0.;
   if Obs.enabled () then
@@ -281,31 +277,31 @@ let begin_plot t =
 
 let budget_spent t = t.spent_ms
 
-let deadline_exceeded t =
-  match t.deadline_ms with Some d -> t.spent_ms >= d | None -> false
+let deadline_exceeded t op =
+  match op.deadline_ms with Some d -> t.spent_ms >= d | None -> false
 
 (* No fetch can fail or be refused: no fault can fire, and no breaker,
-   deadline or session gate stands in the way. *)
-let infallible t =
+   deadline or gate stands in the way. *)
+let infallible t op =
   t.link = Up && t.brk = Closed
-  && (not (any_faults t.faults))
+  && (not (any_faults op.faults))
   && (not (any_faults t.base_faults))
-  && t.deadline_ms = None && t.gate = None && t.retry_gate = None
+  && op.deadline_ms = None && Option.is_none op.admit && Option.is_none op.retry
 
 (* ------------------------------------------------------------------ *)
 (* The resilient read *)
 
-let fetch_raw t ~bytes perform =
-  if deadline_exceeded t then begin
+let fetch_raw t op ~bytes perform =
+  if deadline_exceeded t op then begin
     t.deadline_hits <- t.deadline_hits + 1;
     Error Deadline_exceeded
   end
   else
-    match (match t.gate with Some g -> g ~bytes | None -> None) with
+    match (match op.admit with Some g -> g ~bytes | None -> None) with
     | Some err ->
-        (* refused by the session server's admission gate (per-session
-           read/deadline budget spent): no wire traffic, no breaker
-           accounting — the link itself is fine *)
+        (* refused by the op's admission gate (a session's read or
+           wire budget spent): no wire traffic, no breaker accounting —
+           the link itself is fine *)
         t.deadline_hits <- t.deadline_hits + 1;
         Error err
     | None -> begin
@@ -328,7 +324,7 @@ let fetch_raw t ~bytes perform =
           t.short_circuits <- t.short_circuits + 1;
           fail Disconnected
         end
-        else if deadline_exceeded t then begin
+        else if deadline_exceeded t op then begin
           t.deadline_hits <- t.deadline_hits + 1;
           Error Deadline_exceeded
         end
@@ -336,12 +332,11 @@ let fetch_raw t ~bytes perform =
           t.attempts <- t.attempts + 1;
           (* one draw decides the attempt's fate across both fault
              configs; the segments put the wire's own (base) rates ahead
-             of the session overlay within each fault kind, so each
-             fired fault knows who caused it — only wire-attributed
-             outcomes feed the health EWMA.  A zero base collapses every
-             cutoff to the original single-config thresholds, so seeded
-             runs without base faults replay identically. *)
-          let bf = t.base_faults and sf = t.faults in
+             of the op's within each fault kind, so each fired fault
+             knows who caused it — only wire-attributed outcomes feed
+             the health EWMA.  When only one config is non-zero the
+             cutoffs are that config's single-config thresholds. *)
+          let bf = t.base_faults and sf = op.faults in
           let r = if any_faults bf || any_faults sf then draw t else 1. in
           let c1 = bf.disconnect_rate in
           let c2 = c1 +. sf.disconnect_rate in
@@ -361,7 +356,7 @@ let fetch_raw t ~bytes perform =
             charge t t.policy.read_timeout_ms;
             if r < c3 then note_wire t ~ok:false ~ms:t.policy.read_timeout_ms;
             if n >= t.policy.max_retries then fail Retries_exhausted
-            else if not (match t.retry_gate with Some g -> g () | None -> true) then begin
+            else if not (match op.retry with Some g -> g () | None -> true) then begin
               (* the caller's retry budget is spent: degrade exactly like
                  an exhausted deadline (a [Timed_out] fault upstairs, no
                  breaker accounting — the budget refused, not the link),
@@ -415,16 +410,16 @@ let fetch_raw t ~bytes perform =
 let c_fetches = Obs.Counter.make "transport.fetches"
 let c_errors = Obs.Counter.make "transport.errors"
 
-let fetch t ~bytes perform =
+let fetch t op ~bytes perform =
   Mutex.protect t.lock @@ fun () ->
-  if not (Obs.enabled ()) then fetch_raw t ~bytes perform
+  if not (Obs.enabled ()) then fetch_raw t op ~bytes perform
   else
     Obs.with_span ~cat:"transport"
       ~attrs:[ ("profile", t.prof.pname); ("bytes", string_of_int bytes) ]
       "transport.fetch"
       (fun () ->
         Obs.Counter.incr c_fetches;
-        match fetch_raw t ~bytes perform with
+        match fetch_raw t op ~bytes perform with
         | Ok _ as ok -> ok
         | Error e ->
             Obs.Counter.incr c_errors;
@@ -461,14 +456,9 @@ let snapshot (t : t) =
     breaker_now = t.brk; link_now = t.link }
 
 let health_line t =
-  let budget =
-    match t.deadline_ms with
-    | Some d -> Printf.sprintf ", budget %.1f/%.1f ms" t.spent_ms d
-    | None -> ""
-  in
   Printf.sprintf
-    "[link %s %s, breaker %s | %d reads, %d retries, %d drops, %d stalls, %d refused%s | %.1f ms on the wire]"
+    "[link %s %s, breaker %s | %d reads, %d retries, %d drops, %d stalls, %d refused, budget %.1f ms | %.1f ms on the wire]"
     t.prof.pname
     (match t.link with Up -> "up" | Down -> "DOWN")
     (breaker_to_string t.brk) t.reads_ok t.retries t.drops t.stalls
-    (t.short_circuits + t.deadline_hits) budget t.clock_ms
+    (t.short_circuits + t.deadline_hits) t.spent_ms t.clock_ms

@@ -15,7 +15,10 @@
     a read may proceed and what it costs, then runs the caller's thunk.
     When it refuses (breaker open, link down, budget exhausted, retries
     exhausted) the thunk is {e never} invoked — a tripped breaker
-    really does mean zero underlying reads. *)
+    really does mean zero underlying reads.  A transport holds only the
+    wire's own state; a caller's faults, deadline and gates travel with
+    each {!fetch} as an immutable {!op}, so callers sharing one link
+    never see each other's policy. *)
 
 (** A link's cost model, per paper Table 5: every read is one remote
     round-trip plus per-byte serial cost.  [max_payload] caps the bytes
@@ -98,49 +101,42 @@ type error =
 
 val error_to_string : error -> string
 
+(** One caller's policy for its reads (a session server builds one per
+    op).  A gate refusal charges nothing and leaves the breaker alone:
+    the {e caller's budget} refused, not the link. *)
+type op = {
+  faults : faults;  (** composed with the wire's own; never moves the EWMA *)
+  deadline_ms : float option;  (** per-plot budget since {!begin_plot}; [None] = unlimited *)
+  admit : (bytes:int -> error option) option;
+      (** consulted before any wire attempt; [Some err] refuses the read
+          (counted in [deadline_hits]) *)
+  retry : (unit -> bool) option;
+      (** consulted before each retry of a dropped reply; [false] fails
+          the read with {!error.Deadline_exceeded} (counted in
+          [retry_denials]) *)
+}
+
+val solo : op
+(** No faults of its own, no deadline, no gates. *)
+
 type t
 
 val create : ?seed:int -> ?policy:policy -> ?faults:faults -> profile -> t
-(** A fresh connected transport. [faults] defaults to {!no_faults}, so a
-    default transport only adds (simulated) latency accounting. *)
+(** A fresh connected transport.  [faults] is the wire's own weather
+    ({!set_base_faults}), {!no_faults} by default. *)
 
 val profile_of : t -> profile
 val link : t -> link
 val breaker : t -> breaker
-val set_faults : t -> faults -> unit
-
-val faults_of : t -> faults
-(** The current fault configuration (a session server swaps it per
-    session while that session's traffic runs). *)
 
 val set_base_faults : t -> faults -> unit
-(** The wire's {e own} weather, composed with the per-session overlay:
-    one draw per attempt decides the outcome across both configs, with
-    the base rates ahead of the overlay within each fault kind, so every
-    fired fault is attributed to whichever config caused it.  Only
-    wire-attributed outcomes (base faults, and clean reads) move the
-    health EWMA — a session's synthetic fault storm says nothing about
-    the link.  Defaults to {!no_faults}, under which seeded runs replay
-    exactly as before this knob existed. *)
-
-val set_retry_gate : t -> (unit -> bool) option -> unit
-(** Install (or clear) a retry-budget hook consulted before every retry
-    of a dropped reply.  Returning [false] denies the retry: the read
-    fails with {!error.Deadline_exceeded} (degrading to a [Timed_out]
-    fault at the target, exactly like an exhausted deadline) with no
-    breaker accounting — the {e budget} refused, not the link.  Denials
-    are counted in [retry_denials].  This is where a session server
-    enforces per-session token-bucket retry budgets so a sickening
-    target cannot provoke a retry storm. *)
-
-val set_gate : t -> (bytes:int -> error option) option -> unit
-(** Install (or clear) an admission gate consulted by {!fetch} before
-    any wire attempt. Returning [Some err] refuses the read — the
-    perform thunk never runs, nothing is charged, and the breaker's
-    failure streak is untouched (the {e link} is healthy; the {e
-    caller's budget} is not). This is where a session server enforces
-    per-session read/deadline budgets at the fetch boundary. Gate
-    refusals are counted as [deadline_hits]. *)
+(** Change the wire's {e own} weather, composed with each op's
+    {!op.faults}: one draw per attempt decides the outcome across both
+    configs, with the base rates ahead of the op's within each fault
+    kind, so every fired fault is attributed to whichever config caused
+    it.  Only wire-attributed outcomes (base faults, and clean reads)
+    move the health EWMA — a session's synthetic fault storm says
+    nothing about the link. *)
 
 val disconnect : t -> unit
 (** Force the link down (what a crashed target or unplugged serial cable
@@ -155,30 +151,28 @@ val reconnect : t -> unit
 (* ------------------------------------------------------------------ *)
 (** {1 Deadline budget} *)
 
-val set_deadline : t -> float option -> unit
-(** Per-plot budget in simulated ms; [None] (default) is unlimited. *)
-
 val begin_plot : t -> unit
 (** Reset the budget spend for a new plot. *)
 
 val budget_spent : t -> float
 (** Simulated ms charged against the current plot's budget. *)
 
-val deadline_exceeded : t -> bool
-(** True once the current plot has spent its whole budget — extraction
-    should truncate instead of issuing more reads. *)
+val deadline_exceeded : t -> op -> bool
+(** True once the current plot has spent the op's whole budget —
+    extraction should truncate instead of issuing more reads. *)
 
 (* ------------------------------------------------------------------ *)
 (** {1 Reads} *)
 
-val fetch : t -> bytes:int -> (unit -> 'a) -> ('a, error) result
-(** [fetch t ~bytes perform] performs one resilient read of [bytes]
+val fetch : t -> op -> bytes:int -> (unit -> 'a) -> ('a, error) result
+(** [fetch t op ~bytes perform] performs one resilient read of [bytes]
     bytes. On the success path [perform] is run exactly once and its
     cost ([rtt + bytes * byte_ms], or the read timeout for a stalled
     attempt) is charged; dropped replies are retried up to
-    [max_retries] times with backoff charged between attempts. On any
-    [Error _] the thunk was never run.  A read is refused without touching
-    the wire by an open breaker or a link already found dead.
+    [max_retries] times with backoff charged between attempts, under
+    [op]'s faults, deadline and gates. On any [Error _] the thunk was
+    never run.  A read is refused without touching the wire by an open
+    breaker or a link already found dead.
 
     Thread-safe: the whole fetch (rng draw, clock charge, breaker
     accounting, [perform]) runs under the transport's internal mutex,
@@ -187,10 +181,10 @@ val fetch : t -> bytes:int -> (unit -> 'a) -> ('a, error) result
     interleaving, so parallel extraction lanes never fetch: they log
     their misses and the join replays them here (see {!Target.absorb}). *)
 
-val infallible : t -> bool
-(** No fetch can fail or be refused right now: link up, breaker
-    closed, no session or base faults, no deadline, and no admission or
-    retry gate.  Parallel extraction splits a loop only over such a
+val infallible : t -> op -> bool
+(** No fetch under [op] can fail or be refused right now: link up,
+    breaker closed, no base or op faults, no deadline, and no admission
+    or retry gate.  Parallel extraction splits a loop only over such a
     wire. *)
 
 (* ------------------------------------------------------------------ *)
@@ -269,4 +263,4 @@ end
 
 val health_line : t -> string
 (** One-line health summary for plot output, e.g.
-    ["[link kgdb-rpi400 up, breaker closed | 420 reads, 3 retries, 1 drop | 84.2 ms on the wire]"]. *)
+    ["[link kgdb-rpi400 up, breaker closed | 420 reads, ..., budget 3.4 ms | 84.2 ms on the wire]"]. *)

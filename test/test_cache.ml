@@ -445,25 +445,25 @@ let test_prefetch_runs_refused () =
     Alcotest.(check int) (what ^ ": stamps nothing") 0 (Target.cache_stats tgt).Target.coalesced
   in
   refused "breaker open" (fun _ tr ->
-      Transport.set_faults tr drop_everything;
+      let drop = { Transport.solo with faults = drop_everything } in
       for _ = 1 to 2 do
-        ignore (Transport.fetch tr ~bytes:8 (fun () -> ()))
+        ignore (Transport.fetch tr drop ~bytes:8 (fun () -> ()))
       done;
-      Alcotest.(check bool) "breaker tripped" true (Transport.breaker tr = Transport.Open);
-      Transport.set_faults tr Transport.no_faults);
+      Alcotest.(check bool) "breaker tripped" true (Transport.breaker tr = Transport.Open));
   refused "link down" (fun _ tr -> Transport.disconnect tr);
   refused "deadline spent" (fun tgt tr ->
-      Transport.set_deadline tr (Some 1.);
+      let op = { Transport.solo with deadline_ms = Some 1. } in
+      Target.set_transport ~op tgt tr;
       Transport.begin_plot tr;
       let init = Option.get (Target.lookup_symbol tgt "init_task") in
       ignore (Target.as_int tgt (Target.member tgt init "pid"));
-      Alcotest.(check bool) "budget spent" true (Transport.deadline_exceeded tr))
+      Alcotest.(check bool) "budget spent" true (Transport.deadline_exceeded tr op))
 
 (* A refusal bypasses the cache: a short circuit, not a miss. *)
 let test_refusal_is_not_a_miss () =
   let tgt, tr, _ = planner_target ~policy:trip_policy ~faults:drop_everything () in
   for _ = 1 to 2 do
-    ignore (Transport.fetch tr ~bytes:8 (fun () -> ()))
+    ignore (Transport.fetch tr Transport.solo ~bytes:8 (fun () -> ()))
   done;
   Alcotest.(check bool) "breaker tripped" true (Transport.breaker tr = Transport.Open);
   Target.reset_cache_stats tgt;

@@ -22,18 +22,19 @@ type outcome = {
 }
 
 (* One full extraction pass over a fresh kernel, mirroring the bench's
-   par harness: kgdb-priced transport (set up further by [wire]),
-   optional split chaos, optional read-failure injection, every figure
-   plotted through a [pool_size]-member pool, or through no pool at
-   all without [pool_size]. *)
-let run_figs ?pool_size ?(wire = ignore) ~chaos ~inject () =
+   par harness: kgdb-priced transport (set up further by [wire]), read
+   under [op], optional split chaos, optional read-failure injection,
+   every figure plotted through a [pool_size]-member pool, or through
+   no pool at all without [pool_size]. *)
+let run_figs ?pool_size ?(wire = ignore) ?op ~chaos ~inject () =
   let k = Kstate.boot () in
   let w = Workload.create k in
   Workload.run ~iters:12 w;
   let tr = Transport.create ~seed:7 Target.kgdb_rpi400 in
   wire tr;
-  let s = Visualinux.attach ~transport:tr k in
+  let s = Visualinux.attach k in
   let tgt = s.Visualinux.target in
+  Target.set_transport ?op tgt tr;
   let pool = Option.map Viewcl.Dpool.create pool_size in
   let c =
     if chaos then begin
@@ -124,17 +125,18 @@ let test_identity_chaos () =
    the pool-less plot, fault journal and wire counters included. *)
 let test_fallible_wire_never_splits () =
   let flaky = { Transport.no_faults with Transport.stall_rate = 0.05; drop_rate = 0.1 } in
+  let solo = Transport.solo in
   List.iter
-    (fun (name, wire) ->
-      let seq = run_figs ~wire ~chaos:false ~inject:false () in
-      let par = run_figs ~pool_size:2 ~wire ~chaos:false ~inject:false () in
+    (fun (name, wire, op) ->
+      let seq = run_figs ~wire ~op ~chaos:false ~inject:false () in
+      let par = run_figs ~pool_size:2 ~wire ~op ~chaos:false ~inject:false () in
       Alcotest.(check int) (name ^ ": no lane task ran") 0 par.tasks;
       check_identity name seq par)
-    [ ("faults", fun tr -> Transport.set_faults tr flaky);
-      ("base faults", fun tr -> Transport.set_base_faults tr flaky);
-      ("deadline", fun tr -> Transport.set_deadline tr (Some 60.));
-      ("gate", fun tr -> Transport.set_gate tr (Some (fun ~bytes:_ -> None)));
-      ("retry gate", fun tr -> Transport.set_retry_gate tr (Some (fun () -> true))) ]
+    [ ("faults", ignore, { solo with faults = flaky });
+      ("base faults", (fun tr -> Transport.set_base_faults tr flaky), solo);
+      ("deadline", ignore, { solo with deadline_ms = Some 60. });
+      ("gate", ignore, { solo with admit = Some (fun ~bytes:_ -> None) });
+      ("retry gate", ignore, { solo with retry = Some (fun () -> true) }) ]
 
 let test_identity_inject () =
   let r1 = run_figs ~pool_size:1 ~chaos:false ~inject:true () in

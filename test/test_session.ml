@@ -419,6 +419,94 @@ let test_recover_keeps_counters_non_negative () =
     [ a; b ]
 
 (* ------------------------------------------------------------------ *)
+(* Per-op wire policy: nothing outlives the op *)
+
+let timed_out = function Target.Truncated _ | Target.Timed_out _ -> true | _ -> false
+
+(* A session's plot deadline binds its own op only: a direct plot on the
+   same target afterwards runs unbudgeted, as if the op never happened,
+   and an op that raises leaves the home wire bound as before. *)
+let test_deadline_scoped_to_op () =
+  let setup () =
+    let srv = Session.create (boot ()) in
+    Session.add_target srv ~transport:(Transport.create ~seed:7 Target.kgdb_rpi400) "wire";
+    let budget = Session.budget ~plot_deadline_ms:3. () in
+    let sid = admitted (Session.open_session ~budget ~target:"wire" srv "tight") in
+    (srv, sid, Option.get (Session.vis srv sid))
+  in
+  let direct vis =
+    let _, _, st = Visualinux.vplot vis (fig "3-4") in
+    (st.Visualinux.boxes, Target.faults vis.Visualinux.target)
+  in
+  let _, _, control = setup () in
+  let boxes0, faults0 = direct control in
+  Alcotest.(check bool) "control plot is not truncated" false (List.exists timed_out faults0);
+  let srv, sid, vis = setup () in
+  let _, _, tight = admitted (Session.vplot srv sid (fig "9-2")) in
+  Alcotest.(check bool) "the session's deadline bit its own op" true
+    (List.exists timed_out (Session.fault_journal srv sid) && tight.Visualinux.boxes > 0);
+  let boxes, faults = direct vis in
+  Alcotest.(check int) "direct plot after the op = control" boxes0 boxes;
+  Alcotest.(check bool) "no Truncated/Timed_out fault" false (List.exists timed_out faults);
+  (match Session.vplot srv sid "define ??? as" with
+  | exception Viewcl.Error _ -> ()
+  | _ -> Alcotest.fail "a malformed program must raise");
+  let tgt = vis.Visualinux.target in
+  Alcotest.(check bool) "a raising op leaves the home wire solo" true
+    (Target.can_split tgt && not (Target.deadline_exceeded tgt))
+
+(* Per-session deltas sum to the global totals: every read, cache
+   decision, budget refusal and wire millisecond on the shared link is
+   billed to exactly one session, canary resyncs included.  One sick
+   session (faults, a retry budget and a deadline) drives the target
+   through quarantine, so canaries fire. *)
+let test_per_session_conservation () =
+  let kernel = Kstate.boot () in
+  let w = Workload.create kernel in
+  Workload.run w;
+  let tr = Transport.create ~seed:7 Target.kgdb_rpi400 in
+  let srv = Session.create ~capacity:4 kernel in
+  Session.add_target srv ~transport:tr "wire";
+  let sessions =
+    List.mapi
+      (fun i f ->
+        let budget =
+          if i = 0 then Some (Session.budget ~retry_burst:3 ~plot_deadline_ms:400. ()) else None
+        in
+        let sid =
+          admitted (Session.open_session ?budget ~target:"wire" srv (Printf.sprintf "s%d" (i + 1)))
+        in
+        let pane, _, _ = admitted (Session.vplot srv sid (fig f)) in
+        (sid, pane.Panel.pid))
+      [ "9-2"; "3-4"; "3-6"; "7-1" ]
+  in
+  Session.set_faults srv (fst (List.hd sessions)) (Transport.faults_of_rate 0.2);
+  for _ = 1 to 40 do
+    Workload.step w;
+    Workload.simulate_time w;
+    List.iter
+      (fun (sid, pane) ->
+        match Session.vrefresh srv sid ~pane with _ -> () | exception Viewcl.Error _ -> ())
+      sessions
+  done;
+  let sum name = List.fold_left (fun acc (sid, _) -> acc + Session.counter srv sid name) 0 sessions in
+  let sn = Transport.snapshot tr in
+  let cs = Target.cache_stats (Option.get (Session.vis srv (fst (List.hd sessions)))).Visualinux.target in
+  Alcotest.(check bool) "canaries fired" true (sum "canaries" > 0);
+  Alcotest.(check (float 1e-6)) "sum of wire ms = transport clock" sn.Transport.sim_ms
+    (List.fold_left (fun acc (sid, _) -> acc +. Session.wire_ms srv sid) 0. sessions);
+  Alcotest.(check int) "sum of reads" sn.Transport.reads_ok (sum "reads");
+  Alcotest.(check int) "sum of cache hits" cs.Target.hits (sum "cache.hits");
+  Alcotest.(check int) "sum of cache misses" cs.Target.misses (sum "cache.misses");
+  Alcotest.(check int) "sum of coalesced" cs.Target.coalesced (sum "cache.coalesced");
+  Alcotest.(check int) "sum of budget refusals" sn.Transport.deadline_hits (sum "budget.refusals");
+  Alcotest.(check (list int)) "pinned totals: reads, hits, misses, coalesced, refusals"
+    [ 496; 21316; 203; 288; 16 ]
+    [ sn.Transport.reads_ok; cs.Target.hits; cs.Target.misses; cs.Target.coalesced;
+      sn.Transport.deadline_hits ];
+  Alcotest.(check (float 5e-4)) "pinned wire ms" 6342.446 sn.Transport.sim_ms
+
+(* ------------------------------------------------------------------ *)
 (* Obs export: breaker state and cache hit rate as gauges *)
 
 let test_obs_gauges () =
@@ -458,4 +546,7 @@ let suite =
       test_fleet_recovery;
     Alcotest.test_case "recover_session keeps per-session counters >= 0" `Quick
       test_recover_keeps_counters_non_negative;
+    Alcotest.test_case "session deadline is scoped to its op" `Quick test_deadline_scoped_to_op;
+    Alcotest.test_case "per-session deltas sum to the global totals" `Quick
+      test_per_session_conservation;
     Alcotest.test_case "obs gauges: breaker state, cache hit rate" `Quick test_obs_gauges ]

@@ -56,7 +56,7 @@ let retries_never_exceed_cap =
       in
       let tr = Transport.create ~seed ~policy ~faults:drop_everything Transport.qemu_local in
       let calls = ref 0 in
-      let r = Transport.fetch tr ~bytes:8 (fun () -> incr calls) in
+      let r = Transport.fetch tr Transport.solo ~bytes:8 (fun () -> incr calls) in
       let sn = Transport.snapshot tr in
       r = Error Transport.Retries_exhausted
       && !calls = 0
@@ -77,7 +77,7 @@ let retry_cap_under_partial_loss =
       let ok = ref true in
       for _ = 1 to 50 do
         let before = (Transport.snapshot tr).Transport.attempts in
-        ignore (Transport.fetch tr ~bytes:8 (fun () -> ()));
+        ignore (Transport.fetch tr Transport.solo ~bytes:8 (fun () -> ()));
         let spent = (Transport.snapshot tr).Transport.attempts - before in
         if spent < 1 || spent > cap + 1 then ok := false
       done;
@@ -93,13 +93,13 @@ let test_breaker_zero_reads () =
   in
   let tr = Transport.create ~seed:1 ~policy ~faults:drop_everything Transport.qemu_local in
   for _ = 1 to 3 do
-    ignore (Transport.fetch tr ~bytes:8 (fun () -> ()))
+    ignore (Transport.fetch tr Transport.solo ~bytes:8 (fun () -> ()))
   done;
   Alcotest.(check bool) "breaker tripped Open" true (Transport.breaker tr = Transport.Open);
   let sn0 = Transport.snapshot tr in
   let calls = ref 0 in
   for _ = 1 to 50 do
-    match Transport.fetch tr ~bytes:8 (fun () -> incr calls) with
+    match Transport.fetch tr Transport.solo ~bytes:8 (fun () -> incr calls) with
     | Error Transport.Breaker_open -> ()
     | _ -> Alcotest.fail "open breaker must refuse with Breaker_open"
   done;
@@ -116,7 +116,7 @@ let test_dead_link_one_timeout () =
      after it is refused off the wire, exactly like an open breaker's *)
   let policy = Transport.default_policy in
   let tr = Transport.create ~seed:3 ~policy Transport.kgdb_rpi400 in
-  ignore (Transport.fetch tr ~bytes:8 (fun () -> ()));
+  ignore (Transport.fetch tr Transport.solo ~bytes:8 (fun () -> ()));
   Transport.disconnect tr;
   let sn0 = Transport.snapshot tr and ew0 = Transport.ewma tr in
   let n = policy.Transport.breaker_threshold in
@@ -124,7 +124,7 @@ let test_dead_link_one_timeout () =
   for i = 1 to n do
     Alcotest.(check bool) "breaker still closed before the threshold" true
       (Transport.breaker tr = Transport.Closed);
-    match Transport.fetch tr ~bytes:8 (fun () -> incr calls) with
+    match Transport.fetch tr Transport.solo ~bytes:8 (fun () -> incr calls) with
     | Error Transport.Disconnected -> ()
     | _ -> Alcotest.fail (Printf.sprintf "read %d on a dead link must be Disconnected" i)
   done;
@@ -139,7 +139,7 @@ let test_dead_link_one_timeout () =
   Alcotest.(check bool) "breaker Open after threshold refusals" true
     (Transport.breaker tr = Transport.Open);
   Transport.reconnect tr;
-  (match Transport.fetch tr ~bytes:8 (fun () -> 7) with
+  (match Transport.fetch tr Transport.solo ~bytes:8 (fun () -> 7) with
   | Ok v -> Alcotest.(check int) "reads succeed after reconnect" 7 v
   | Error e -> Alcotest.fail (Transport.error_to_string e));
   Alcotest.(check bool) "probe closed the breaker" true (Transport.breaker tr = Transport.Closed);
@@ -150,7 +150,7 @@ let test_dead_link_one_timeout () =
       Transport.kgdb_rpi400
   in
   for _ = 1 to 3 do
-    ignore (Transport.fetch tr ~bytes:8 (fun () -> incr calls))
+    ignore (Transport.fetch tr Transport.solo ~bytes:8 (fun () -> incr calls))
   done;
   Alcotest.(check (float 0.)) "one timeout for the lost link" policy.Transport.read_timeout_ms
     (Transport.snapshot tr).Transport.sim_ms;
@@ -193,16 +193,16 @@ let test_breaker_half_open_recovery () =
   in
   let tr = Transport.create ~seed:2 ~policy ~faults:drop_everything Transport.qemu_local in
   for _ = 1 to 2 do
-    ignore (Transport.fetch tr ~bytes:8 (fun () -> ()))
+    ignore (Transport.fetch tr Transport.solo ~bytes:8 (fun () -> ()))
   done;
   Alcotest.(check bool) "Open after threshold" true (Transport.breaker tr = Transport.Open);
   (* heal the link; the first refused fetch charges nothing, so push the
      clock past the cooldown with a reconnect resync *)
-  Transport.set_faults tr Transport.no_faults;
+  Transport.set_base_faults tr Transport.no_faults;
   Transport.reconnect tr;
   Alcotest.(check bool) "Half_open after resync" true
     (Transport.breaker tr = Transport.Half_open);
-  (match Transport.fetch tr ~bytes:8 (fun () -> 99) with
+  (match Transport.fetch tr Transport.solo ~bytes:8 (fun () -> 99) with
   | Ok v -> Alcotest.(check int) "probe read went through" 99 v
   | Error e -> Alcotest.fail (Transport.error_to_string e));
   Alcotest.(check bool) "Closed after successful probe" true
@@ -224,8 +224,8 @@ let test_deadline_budget () =
      struct-granular coalescing *)
   let _, s2 = session () in
   let tr2 = Transport.create Transport.kgdb_rpi400 in
-  Transport.set_deadline tr2 (Some 40.);
-  Target.set_transport s2.Visualinux.target tr2;
+  Target.set_transport s2.Visualinux.target tr2
+    ~op:{ Transport.solo with deadline_ms = Some 40. };
   Target.set_read_cache s2.Visualinux.target false;
   let _, res2, tight = Visualinux.plot_figure s2 sc in
   Alcotest.(check bool) "budget run yields fewer boxes" true
@@ -253,8 +253,8 @@ let plots_survive_any_fault_rate =
           ~faults:(Transport.faults_of_rate (float_of_int pct /. 100.))
           Transport.kgdb_rpi400
       in
-      Transport.set_deadline tr (Some 500.);
-      Target.set_transport s.Visualinux.target tr;
+      Target.set_transport s.Visualinux.target tr
+        ~op:{ Transport.solo with deadline_ms = Some 500. };
       let sc = Option.get (Scripts.find "3-4") in
       let _, _, stats = Visualinux.plot_figure s sc in
       if Transport.link tr = Transport.Down then Transport.reconnect tr;
