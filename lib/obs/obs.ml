@@ -917,7 +917,9 @@ let profile_table () =
   if rows = [] then Buffer.add_string buf "(no spans recorded)\n";
   Buffer.contents buf
 
-let metrics_json ?(extra = []) () =
+type gate = { name : string; value : float; bound : string; ok : bool }
+
+let metrics_json ?(extra = []) ?(gates = []) () =
   ring_gauges ();
   let buf = Buffer.create 4096 in
   let kv_block name body = Printf.sprintf "\"%s\":{%s}" name (String.concat "," body) in
@@ -926,7 +928,14 @@ let metrics_json ?(extra = []) () =
     (kv_block "meta"
        (List.map (fun (k, v) -> Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v))
           extra));
-  Buffer.add_char buf ',';
+  Buffer.add_string buf
+    (Printf.sprintf ",\"gates\":[%s],"
+       (String.concat ","
+          (List.map
+             (fun g ->
+               Printf.sprintf "{\"name\":\"%s\",\"value\":%s,\"bound\":\"%s\",\"ok\":%b}"
+                 (json_escape g.name) (json_float g.value) (json_escape g.bound) g.ok)
+             gates)));
   Buffer.add_string buf
     (kv_block "counters"
        (List.map (fun (k, v) -> Printf.sprintf "\"%s\":%d" (json_escape k) v)

@@ -356,8 +356,15 @@ val chrome_trace : unit -> string
 val profile_table : unit -> string
 (** Flat ASCII profile: count / total ms / self ms per span name. *)
 
-val metrics_json : ?extra:(string * string) list -> unit -> string
-(** The whole registry as JSON: [meta] (the [extra] pairs), [counters],
+type gate = { name : string; value : float; bound : string; ok : bool }
+(** One row of a bench gate table: the quantity checked, its measured
+    value ([nan] when the input is missing), the bound it must meet as
+    text (e.g. [">= 0.5"]), and whether it met it. *)
+
+val metrics_json :
+  ?extra:(string * string) list -> ?gates:gate list -> unit -> string
+(** The whole registry as JSON: [meta] (the [extra] pairs), [gates]
+    (the rows in order, a [nan] value as [null]), [counters],
     [gauges] (including [slo.*] and the ring-pressure gauges),
     [histograms] (with quantile summaries), [exemplars] (per-bucket
     trace ids), [spans] (aggregated profile rows) and [events] (ring

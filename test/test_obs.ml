@@ -217,6 +217,31 @@ let test_metrics_json_parses () =
             (List.assoc_opt "mode" kvs = Some (Json.String "test"))
       | _ -> Alcotest.fail "meta missing")
 
+(* The gate table rides in the artifact in order; a failed row keeps
+   its value, bound and ok:false, and a missing input (NaN) reads back
+   as null. *)
+let test_metrics_json_gates () =
+  with_obs (fun () ->
+      let gates =
+        [ { Obs.name = "hit_rate"; value = 0.75; bound = ">= 0.5"; ok = true };
+          { Obs.name = "speedup"; value = 1.02; bound = ">= 2"; ok = false };
+          { Obs.name = "cache.box_hits"; value = nan; bound = "registered"; ok = false } ]
+      in
+      let row name value bound ok =
+        Json.Obj
+          [ ("name", Json.String name); ("value", value); ("bound", Json.String bound);
+            ("ok", Json.Bool ok) ]
+      in
+      match Json.member "gates" (Json.parse (Obs.metrics_json ~gates ())) with
+      | Some (Json.List rows) ->
+          Alcotest.(check (list string)) "rows in order"
+            (List.map Json.to_string
+               [ row "hit_rate" (Json.Float 0.75) ">= 0.5" true;
+                 row "speedup" (Json.Float 1.02) ">= 2" false;
+                 row "cache.box_hits" Json.Null "registered" false ])
+            (List.map Json.to_string rows)
+      | _ -> Alcotest.fail "no gates array")
+
 (* ------------------------------------------------------------------ *)
 (* Disabled mode: zero events, zero drift *)
 
@@ -302,6 +327,8 @@ let suite =
       test_chrome_trace_parses;
     Alcotest.test_case "metrics JSON parses (counters/histograms/meta)" `Quick
       test_metrics_json_parses;
+    Alcotest.test_case "metrics JSON carries the gate table" `Quick
+      test_metrics_json_gates;
     Alcotest.test_case "disabled: zero events, zero counter drift" `Quick
       test_disabled_zero_cost;
     Alcotest.test_case "disabled: instrumented stack is silent" `Quick
