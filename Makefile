@@ -11,7 +11,7 @@
 # and exits 1 after writing if any row failed.  The smoke targets below
 # therefore only run the bench; the checks live in bench/main.ml.
 
-.PHONY: all test bench bench-smoke chaos-smoke perf-smoke par-smoke session-smoke campaign-smoke crash-smoke obs-smoke bench-compare fmt-check ci check clean
+.PHONY: all test bench bench-smoke chaos-smoke perf-smoke session-smoke campaign-smoke crash-smoke obs-smoke bench-compare fmt-check ci check clean
 
 all:
 	dune build @all
@@ -47,19 +47,6 @@ perf-smoke: all
 	dune exec bench/main.exe -- --repeat-plot 5 --seed 7
 	@echo "perf-smoke: ok"
 
-# Parallel-extraction smoke (ISSUE 10): the Table 2 figures through a
-# 4-domain work-stealing pool vs. the 1-pool identity baseline, under
-# plain, split-chaos and injection scenarios.  The bench gates renders,
-# fault journals, chaos fired counts and merged read counters
-# byte-identical across domain counts, the classic unsharded
-# interpreter rendering identically, a 4-domain run, and the LPT
-# schedule model clearing 2x (the recorded target is 3x, see
-# EXPERIMENTS.md).  The model has read ~1.02x since lanes stopped
-# owning a wire, so this target fails, after writing BENCH_par.json.
-par-smoke: all
-	dune exec bench/main.exe -- --domains 4 --seed 7
-	@echo "par-smoke: ok"
-
 # Session smoke (ISSUE 6): the multi-session isolation bench.  The
 # bench gates: one session storming at the given fault rate (plus one
 # forced breaker-Open round) leaves the healthy sessions' p95 within
@@ -70,12 +57,9 @@ par-smoke: all
 # snapshot with pane/box ids reproduced, per-session counters that
 # are >= 0 and add up, and the SLO split (ISSUE 8): the sick session
 # burns its clean_reads budget >= 1x, every healthy one < 1x, and a
-# histogram exemplar carries a trace id.  Runs once at 2 domains first
-# (session ops never split their loops, so pooled lanes must not break
-# isolation), then at the default 1 domain, which writes the committed
+# histogram exemplar carries a trace id.  Writes the committed
 # BENCH_sessions.json.
 session-smoke: all
-	VISUALINUX_DOMAINS=2 dune exec bench/main.exe -- --sessions 4 --fault-rate 0.2 --seed 7
 	dune exec bench/main.exe -- --sessions 4 --fault-rate 0.2 --seed 7
 	@echo "session-smoke: ok"
 
@@ -125,7 +109,7 @@ fmt-check:
 		echo "fmt-check: tabs or trailing whitespace found (see above)"; exit 1; \
 	else echo "fmt-check: clean"; fi
 
-ci: all test bench-smoke session-smoke campaign-smoke crash-smoke par-smoke bench-compare chaos-smoke perf-smoke obs-smoke fmt-check
+ci: all test bench-smoke session-smoke campaign-smoke crash-smoke bench-compare chaos-smoke perf-smoke obs-smoke fmt-check
 
 check: ci bench
 

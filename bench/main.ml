@@ -94,21 +94,19 @@ module Gate = struct
     failed = []
 end
 
-(* [f] over a freshly booted, populated kernel and an attach to it; the
-   attach's domain pool (if any) is shut down when [f] returns. *)
-let with_fresh_session f =
+(* A freshly booted, populated kernel and an attach to it. *)
+let fresh_session () =
   let kernel = Kstate.boot () in
   let w = Workload.create kernel in
   Workload.run w;
-  let s = Visualinux.attach kernel in
-  Fun.protect ~finally:(fun () -> Visualinux.detach s) (fun () -> f kernel s)
+  (kernel, Visualinux.attach kernel)
 
 (* ------------------------------------------------------------------ *)
 (* Table 2 *)
 
 let table2 () =
   section "Table 2: representative ULK figures ported to the simulated Linux 6.1";
-  with_fresh_session @@ fun _ s ->
+  let _, s = fresh_session () in
   Printf.printf "%-3s %-12s %-42s %5s %5s %6s %s\n" "#" "Figure" "Description" "LOC" "boxes"
     "reads" "Delta";
   let total_loc = ref 0 and min_boxes = ref max_int in
@@ -139,7 +137,7 @@ let table2 () =
 
 let table3 () =
   section "Table 3: debugging objectives via vchat (NL -> ViewQL)";
-  with_fresh_session @@ fun _ s ->
+  let _, s = fresh_session () in
   Printf.printf "%-10s %-66s %3s %7s %s\n" "Fig." "Objective" "QL" "updated" "ok";
   let n_ok = ref 0 in
   List.iter
@@ -191,7 +189,7 @@ type t4row = {
 }
 
 let table4_rows () =
-  with_fresh_session @@ fun _ s ->
+  let _, s = fresh_session () in
   List.map
     (fun (sc : Scripts.script) ->
       let pane, _, stats = Visualinux.plot_figure s sc in
@@ -241,7 +239,7 @@ let table4 () =
 
 let figure4 () =
   section "Figure 4: maple tree of a process address space (after ViewQL)";
-  with_fresh_session @@ fun _ s ->
+  let _, s = fresh_session () in
   let sc = Option.get (Scripts.find "9-2") in
   let pane, res, _ = Visualinux.plot_figure s sc in
   ignore
@@ -269,7 +267,7 @@ UPDATE writable_vmas WITH trimmed: true|});
 
 let figure5 () =
   section "Figure 5: CVE-2023-3269 (StackRot) trace on the simulated kernel";
-  with_fresh_session @@ fun kernel s ->
+  let kernel, s = fresh_session () in
   let ctx = kernel.Kstate.ctx in
   let target = Option.get (Kstate.find_task kernel s.Visualinux.target_pid) in
   let mm = Ksyscall.mm_of kernel target in
@@ -310,7 +308,7 @@ let figure5 () =
 
 let figure7 () =
   section "Figure 7: CVE-2022-0847 (Dirty Pipe) object graph (after ViewQL)";
-  with_fresh_session @@ fun kernel s ->
+  let kernel, s = fresh_session () in
   let ctx = kernel.Kstate.ctx in
   let task = Option.get (Kstate.find_task kernel s.Visualinux.target_pid) in
   let _, file = Ksyscall.openat kernel task ~name:"test.txt" ~size:4096 in
@@ -380,8 +378,7 @@ let scaling_sweep () =
         (Target.simulated_ms Target.qemu_local st +. stats.Visualinux.wall_ms)
         (Target.simulated_ms Target.kgdb_rpi400 st +. stats.Visualinux.wall_ms);
       if stats.Visualinux.reads < !prev_reads then incr drops;
-      prev_reads := stats.Visualinux.reads;
-      Visualinux.detach s)
+      prev_reads := stats.Visualinux.reads)
     [ 1; 2; 4; 8; 12 ];
   Gate.none "scaling.read_drops" !drops;
   print_endline "\n(read volume grows monotonically with state size; KGDB cost scales with it)"
@@ -406,7 +403,7 @@ let run_bechamel tests =
 
 let microbench () =
   section "Bechamel micro-benchmarks (one per table/figure + ablations)";
-  with_fresh_session @@ fun kernel s ->
+  let kernel, s = fresh_session () in
   let ctx = kernel.Kstate.ctx in
   let tgt = s.Visualinux.target in
   let fig34 = Option.get (Scripts.find "3-4") in
@@ -543,7 +540,6 @@ let degradation ~rates ~profile ~deadline_ms ~seed =
         Printf.printf
           "       phases (wall): fetch %.2f ms, interp %.2f ms, render %.2f ms\n"
           !fetch_ms !interp_ms !render_ms;
-      Visualinux.detach s;
       (* resilience contract: every plot completes, whatever the link does *)
       Gate.eq (Printf.sprintf "smoke@%g.plots" rate) (float_of_int !plots)
         (float_of_int (List.length Scripts.table2)))
@@ -637,8 +633,6 @@ let chaos ~rates ~seed =
       let cold_res =
         Viewcl.run ~cfg:cold_s.Visualinux.cfg cold_s.Visualinux.target id_sc.Scripts.source
       in
-      Visualinux.detach s;
-      Visualinux.detach cold_s;
       Gate.holds (Printf.sprintf "chaos@%g.warm_eq_cold" rate)
         (warm = canonical cold_res.Viewcl.graph))
     rates;
@@ -725,8 +719,6 @@ let repeat_plot ~iters ~seed =
         (median !warm_ms) cold_f warm_f un_f
         (100. *. float_of_int !fig_hits /. float_of_int denom))
     Scripts.table2;
-  Visualinux.detach s;
-  Visualinux.detach s0;
   let cold_p50 = median !cold_all and warm_p50 = median !warm_all in
   let hit_rate =
     float_of_int !hits /. float_of_int (max 1 (!hits + !misses + !inval))
@@ -781,8 +773,6 @@ let repeat_plot ~iters ~seed =
             Obs.set_enabled obs)
       panes
   done;
-  Visualinux.detach s;
-  Visualinux.detach cold_s;
   let refreshes = iters * List.length panes in
   let planned = Obs.Metrics.counter "cache.planned_runs" - planned0 in
   Printf.printf
@@ -816,12 +806,6 @@ let percentile q l =
       let n = List.length sorted in
       let rank = int_of_float (ceil (q *. float_of_int n)) - 1 in
       List.nth sorted (min (n - 1) (max 0 rank))
-
-(* Shut down the domain pools the server's session attaches spawned
-   (at >= 2 domains); call once the server is no longer used. *)
-let release_fleet srv =
-  List.iter (fun sid -> Option.iter Visualinux.detach (Session.vis srv sid))
-    (Session.session_ids srv)
 
 let pane_state vis =
   List.map
@@ -1056,8 +1040,6 @@ let sessions_bench ~n ~rate ~rounds ~seed =
   Gate.none "sessions.recovered_panes_differ" (differ strip srv sids srv2 sids2);
   let srv3, sids3 = recover_into "sessions.replay2.sessions" in
   Gate.none "sessions.replay_ids_differ" (differ pane_state srv2 sids2 srv3 sids3);
-  List.iter release_fleet [ srv2; srv3 ];
-  Visualinux.detach solo;
   (* per-session latency table; the pool for the isolation gate is the
      healthy sessions (everyone but s1) in both fleets *)
   let samples tbl sid = match Hashtbl.find_opt tbl sid with Some r -> !r | None -> [] in
@@ -1119,13 +1101,19 @@ let sessions_bench ~n ~rate ~rounds ~seed =
               (if sid = sick_sid then " (sick)" else "")
         | None -> ())
       sids;
+    (* burn_rate is min(fast, slow): a healthy session that burned
+       earlier reads 0 there, so it must hold its slow window too *)
     List.iter
       (fun sid ->
-        let burn = Printf.sprintf "slo.s%d.clean_reads.burn_rate" sid in
-        (if sid = sick_sid then Gate.ge else Gate.lt)
-          burn
-          (Option.value (Obs.Metrics.gauge burn) ~default:nan)
-          1.)
+        let check gate w =
+          let name = Printf.sprintf "slo.s%d.clean_reads.%s" sid w in
+          gate name (Option.value (Obs.Metrics.gauge name) ~default:nan) 1.
+        in
+        if sid = sick_sid then check Gate.ge "burn_rate"
+        else begin
+          check Gate.lt "burn_rate";
+          check Gate.lt "burn_slow"
+        end)
       sids;
     Gate.exemplar_trace ();
     Gate.ge "sessions.op_ms_histograms"
@@ -1138,7 +1126,6 @@ let sessions_bench ~n ~rate ~rounds ~seed =
     List.iter Gate.registered
       [ "sessions.cross_hit_rate"; "sessions.p95_ratio"; "slo.s1.clean_reads.budget_remaining" ]
   end;
-  List.iter release_fleet [ srv; srv_a ];
   (* the session-smoke gate (ISSUE 6 acceptance): the baseline fleet is
      storm-free; the storm actually tripped the breaker and was refused
      with typed rejections, not exceptions; the healthy sessions' p95
@@ -1388,7 +1375,6 @@ let campaign_bench ~file ~seed =
               r.Session.rsessions;
             Session.attach_wal srv'
               (Durable.create ~seed:(seed + 7177 + !crashes) ());
-            release_fleet !srv;
             srv := srv';
             Target.set_read_cache
               (Option.get (Session.vis srv' (List.hd sids))).Visualinux.target
@@ -1481,8 +1467,6 @@ let campaign_bench ~file ~seed =
       List.fold_left (fun a sid -> a + Session.counter !srv sid "canaries") 0 sids
     in
     let health = Session.target_health !srv home in
-    release_fleet !srv;
-    if Lazy.is_val solo then Visualinux.detach (Lazy.force solo);
     ( List.rev !phases_rev, !unhealthy, !ttr, hedged, canaries, !stale_serves, !rejections,
       health, (!crashes, !recovered_s, !salvaged_s) )
   in
@@ -1710,13 +1694,9 @@ let crash_bench ~file ~seed =
     rnd := ((!rnd * 0x5DEECE66D) + 0xB) land max_int;
     (!rnd lsr 17) mod m
   in
-  (* each recovered server is done with by the next recovery *)
-  let last = ref None in
   let recover image =
-    Option.iter release_fleet !last;
     let t0 = Unix.gettimeofday () in
     let srv' = Session.create ~capacity:n kernel in
-    last := Some srv';
     let rcv = Session.recover_durable srv' image in
     let ms = (Unix.gettimeofday () -. t0) *. 1000. in
     if Obs.enabled () then Obs.Metrics.observe "crash.recover_ms" ms;
@@ -1819,7 +1799,7 @@ let crash_bench ~file ~seed =
   done;
   (* -- unsalvageable journal: flip the snapshot itself -------------- *)
   let bit = (15 * 8) + rand ((String.length records.(0) - 19) * 8) in
-  let srv', rcv, _ = recover (Durable.flip_bit (prefix r) bit) in
+  let _, rcv, _ = recover (Durable.flip_bit (prefix r) bit) in
   Gate.ge "crash.snapshot_flip.skipped"
     (float_of_int rcv.Session.rreport.Durable.records_skipped) 1.;
   (* no snapshot left to anchor anyone: every session comes back as a
@@ -1829,7 +1809,6 @@ let crash_bench ~file ~seed =
        (List.filter
           (fun (s : Session.srecovery) -> s.Session.rsalvage <> Session.Quarantined_stale)
           rcv.Session.rsessions));
-  release_fleet srv';
   Printf.printf
     "\n%d crash points x {clean, torn, bit-flip}: %d bit-identical, %d torn-tail clean, \
      %d typed salvages, %d tail-lossy; snapshot-corruption -> %d quarantined ghosts\n"
@@ -1857,179 +1836,6 @@ let crash_bench ~file ~seed =
   (* the whole point: every clean prefix recovered bit-identically *)
   Gate.eq "crash.identical" (float_of_int !identical) (float_of_int r);
   Gate.eq "crash.torn_ok" (float_of_int !torn_ok) (float_of_int (r - 1))
-
-(* ------------------------------------------------------------------ *)
-(* Parallel extraction (ISSUE 10): the Table 2 figures with wide
-   top-level forEach loops sharded over a work-stealing domain pool.
-   Identity is the contract: --domains N must produce byte-identical
-   canonical renders, an identical fault journal and identical merged
-   read counters to --domains 1 (the same lane structure executed
-   serially on the caller) — plain, under a split chaos storm, and
-   under Kmem fault injection alike.
-
-   The gated speedup is the deterministic LPT schedule model over the
-   per-lane busy times measured on the 1-pool baseline
-   (Dpool.model_speedup): it states how much of the plot wall-clock
-   the sharded lanes cover and how evenly they pack onto N domains,
-   and is reproducible on any host.  Wall-clock speedup is recorded
-   alongside but only meaningful when the machine actually has N
-   cores — this container has one. *)
-
-type par_run = {
-  prenders : string list;  (** canonical render per figure, in order *)
-  pjournal : string list;  (** merged fault journal, formatted *)
-  preads : int;  (** merged Target read counter *)
-  pbytes : int;
-  pattempts : int;  (** wire attempts, lane misses replayed at the join included *)
-  psim_ms : float;  (** simulated wire ms, lane misses included *)
-  pcache : Target.cache_stats;  (** merged read-cache counters *)
-  pfired : int;  (** chaos mutations fired (serial + per-lane) *)
-  pwall_ms : float;  (** total plot wall across the figure set *)
-  pbusy : float list;  (** per-lane busy times (1-pool: serial lane costs) *)
-  ptasks : int;  (** lane tasks executed by the pool *)
-  psteals : int;  (** tasks obtained by work stealing *)
-}
-
-let par_run ~pool_size ~seed ~chaos_rate ~inject () =
-  let kernel = Kstate.boot () in
-  let w = Workload.create kernel in
-  (* a wide workload, so the container loops clear the shard fan-out *)
-  Workload.run ~iters:40 w;
-  (* plot-ms is priced as in Table 4: local wall plus simulated wire
-     latency on the kgdb link.  Lanes own no wire: their misses are
-     replayed on this one transport when they join, so the wire time
-     is the sequential plot's and lands in the serial remainder. *)
-  let tr = Transport.create ~seed Target.kgdb_rpi400 in
-  let s = Visualinux.attach ~transport:tr kernel in
-  let tgt = s.Visualinux.target in
-  let pool = Viewcl.Dpool.create pool_size in
-  let c =
-    Option.map
-      (fun rate ->
-        let c = Workload.Chaos.create ~seed w ~rate in
-        Workload.Chaos.arm_split c tgt;
-        c)
-      chaos_rate
-  in
-  if inject then Kmem.inject_read_failures kernel.Kstate.ctx.Kcontext.mem ~seed 0.02;
-  let renders = ref [] and wall = ref 0. in
-  List.iter
-    (fun (sc : Scripts.script) ->
-      let t0 = Unix.gettimeofday () in
-      let sim0 = (Transport.snapshot tr).Transport.sim_ms in
-      (* an injected read can poison a pointer a C expression then
-         chokes on; the raise is deterministic, so it is part of the
-         identity contract: both runs must fail the same figure with
-         the same message *)
-      (match Viewcl.run ~cfg:s.Visualinux.cfg ~pool tgt sc.Scripts.source with
-      | res -> renders := canonical res.Viewcl.graph :: !renders
-      | exception Viewcl.Error e -> renders := ("ERROR: " ^ e) :: !renders);
-      (* lane misses are replayed on the base transport at merge, so
-         the snapshot delta prices the whole figure *)
-      let fms =
-        ((Unix.gettimeofday () -. t0) *. 1000.)
-        +. ((Transport.snapshot tr).Transport.sim_ms -. sim0)
-      in
-      wall := !wall +. fms)
-    Scripts.table2;
-  if c <> None then Workload.Chaos.disarm tgt;
-  if inject then Kmem.clear_injection kernel.Kstate.ctx.Kcontext.mem;
-  let st = Target.stats tgt in
-  let sn = Transport.snapshot tr in
-  let r =
-    { prenders = List.rev !renders;
-      pjournal = List.map Target.fault_to_string (Target.faults tgt);
-      preads = st.Target.reads; pbytes = st.Target.bytes;
-      pattempts = sn.Transport.attempts; psim_ms = sn.Transport.sim_ms;
-      pcache = Target.cache_stats tgt;
-      pfired =
-        (match c with
-        | Some c -> Workload.Chaos.fired c + Workload.Chaos.split_fired c
-        | None -> 0);
-      pwall_ms = !wall; pbusy = Viewcl.Dpool.timings pool;
-      ptasks = Viewcl.Dpool.executed pool; psteals = Viewcl.Dpool.steals pool }
-  in
-  Viewcl.Dpool.shutdown pool;
-  Visualinux.detach s;
-  r
-
-let par_bench ~domains ~seed =
-  section
-    (Printf.sprintf
-       "Parallel extraction: %d-domain pool vs the 1-pool identity baseline (seed %d)"
-       domains seed);
-  Printf.printf "%-12s %5s %8s %8s %6s %6s %7s | %8s %5s%% %8s %7s\n" "scenario" "figs"
-    "journal" "reads" "fired" "lanes" "steals" "wall-1" "lane" (Printf.sprintf "wall-%d" domains)
-    "model-x";
-  let model = ref 1. and wall1 = ref 0. and walln = ref 0. in
-  List.iter
-    (fun (name, chaos_rate, inject) ->
-      let r1 = par_run ~pool_size:1 ~seed ~chaos_rate ~inject () in
-      let rn = par_run ~pool_size:domains ~seed ~chaos_rate ~inject () in
-      (* the identity contract, per scenario *)
-      List.iteri
-        (fun i (a, b) ->
-          if a <> b then begin
-            Printf.printf "DIFF fig %d (%s):\n--- 1-pool ---\n%s\n--- %d-pool ---\n%s\n" i
-              name (String.sub a 0 (min 600 (String.length a))) domains
-              (String.sub b 0 (min 600 (String.length b)))
-          end)
-        (List.combine r1.prenders rn.prenders);
-      let same what = Gate.holds (Printf.sprintf "par.%s.%s_identical" name what) in
-      same "renders" (r1.prenders = rn.prenders);
-      same "journal" (r1.pjournal = rn.pjournal);
-      same "reads" (r1.preads = rn.preads && r1.pbytes = rn.pbytes);
-      same "wire" (r1.pattempts = rn.pattempts && r1.psim_ms = rn.psim_ms);
-      same "cache" (r1.pcache = rn.pcache);
-      same "fired" (r1.pfired = rn.pfired);
-      let m = Viewcl.Dpool.model_speedup ~domains ~serial_ms:r1.pwall_ms r1.pbusy in
-      let busy = List.fold_left ( +. ) 0. r1.pbusy in
-      Printf.printf "%-12s %5d %8d %8d %6d %6d %7d | %8.1f %5.0f%% %8.1f %7.2f\n" name
-        (List.length r1.prenders) (List.length r1.pjournal) r1.preads r1.pfired rn.ptasks
-        rn.psteals r1.pwall_ms
-        (100. *. busy /. Float.max 0.001 r1.pwall_ms)
-        rn.pwall_ms m;
-      if name = "plain" then begin
-        model := m;
-        wall1 := r1.pwall_ms;
-        walln := rn.pwall_ms;
-        (* the classic unsharded path must render identically too: pure
-           reads, so the sequential interpreter and the lane merge are
-           two routes to the same graph *)
-        let kernel = Kstate.boot () in
-        let w = Workload.create kernel in
-        Workload.run ~iters:40 w;
-        let s = Visualinux.attach kernel in
-        let seq =
-          List.map
-            (fun (sc : Scripts.script) ->
-              canonical
-                (Viewcl.run ~cfg:s.Visualinux.cfg s.Visualinux.target sc.Scripts.source)
-                  .Viewcl.graph)
-            Scripts.table2
-        in
-        Visualinux.detach s;
-        Gate.holds "par.seq_identical" (seq = r1.prenders)
-      end)
-    [ ("plain", None, false); ("chaos-storm", Some 0.3, false); ("inject", None, true) ];
-  let wall_speedup = !wall1 /. Float.max 0.001 !walln in
-  Printf.printf
-    "\nmodel speedup at %d domains: x%.2f   (wall x%.2f on this host; the model packs\n\
-     the measured lane busy times onto %d domains with LPT and applies Amdahl to the\n\
-     serial remainder — the portable number a 1-core CI box can still stand behind)\n"
-    domains !model wall_speedup domains;
-  if Obs.enabled () then begin
-    Obs.Metrics.set_gauge "par.domains" (float_of_int domains);
-    Obs.Metrics.set_gauge "par.speedup_4d" !model;
-    Obs.Metrics.set_gauge "par.wall_speedup" wall_speedup;
-    Obs.Metrics.set_gauge "par.serial_ms" !wall1;
-    Obs.Metrics.set_gauge "par.par_ms" !walln;
-    List.iter Gate.registered [ "par.serial_ms"; "par.par_ms"; "par.wall_speedup" ]
-  end;
-  (* the par-smoke gate: a 4-domain run whose schedule model clears 2x
-     (the ISSUE 10 floor; the recorded target is 3x, see EXPERIMENTS.md) *)
-  Gate.ge "par.domains" (float_of_int domains) 4.;
-  Gate.ge "par.speedup_4d" !model 2.0
 
 (* ------------------------------------------------------------------ *)
 
@@ -2076,26 +1882,20 @@ let () =
   let sessions_arg = get "--sessions" args in
   let campaign_arg = get "--campaign" args in
   let crash_arg = get "--crash" args in
-  let domains_arg = get "--domains" args in
   (* campaign mode gets the big ring too: flow-event export skips links
      whose endpoint spans were evicted, and the hedge-era spans must
      survive to the end of the timeline for the Perfetto arrows *)
   if
     campaign_arg <> None || crash_arg <> None
-    || (chaos_arg = None && fault_arg = None && repeat_arg = None && sessions_arg = None
-      && domains_arg = None)
+    || (chaos_arg = None && fault_arg = None && repeat_arg = None && sessions_arg = None)
   then Obs.set_ring_capacity (1 lsl 19);
   let mode, run =
-    match (domains_arg, crash_arg, campaign_arg, sessions_arg, chaos_arg, fault_arg, repeat_arg)
-    with
-    | Some ds, _, _, _, _, _, _ ->
-        let domains = max 1 (int_of_string ds) in
-        ("par", fun () -> par_bench ~domains ~seed:(seed 0x9e3779b9))
-    | None, Some file, _, _, _, _, _ ->
+    match (crash_arg, campaign_arg, sessions_arg, chaos_arg, fault_arg, repeat_arg) with
+    | Some file, _, _, _, _, _ ->
         ("crash", fun () -> crash_bench ~file ~seed:(seed 0x9e3779b9))
-    | None, None, Some file, _, _, _, _ ->
+    | None, Some file, _, _, _, _ ->
         ("campaign", fun () -> campaign_bench ~file ~seed:(seed 0x9e3779b9))
-    | None, None, None, Some ns, _, _, _ ->
+    | None, None, Some ns, _, _, _ ->
         let n = max 2 (int_of_string ns) in
         let rate =
           Option.value (Option.map float_of_string (get "--fault-rate" args)) ~default:0.2
@@ -2104,24 +1904,30 @@ let () =
           Option.value (Option.map int_of_string (get "--rounds" args)) ~default:20
         in
         ("sessions", fun () -> sessions_bench ~n ~rate ~rounds ~seed:(seed 0x9e3779b9))
-    | None, None, None, None, Some rs, _, _ ->
+    | None, None, None, Some rs, _, _ ->
         let rates = List.map float_of_string (String.split_on_char ',' rs) in
         ("chaos", fun () -> chaos ~rates ~seed:(seed 0xC4405))
-    | None, None, None, None, None, Some rs, _ ->
+    | None, None, None, None, Some rs, _ ->
         let rates = List.map float_of_string (String.split_on_char ',' rs) in
         let profile =
           profile_of_name (Option.value (get "--profile" args) ~default:"kgdb_rpi400")
         in
         let deadline_ms = Option.map float_of_string (get "--deadline-ms" args) in
         ("smoke", fun () -> degradation ~rates ~profile ~deadline_ms ~seed:(seed 0x9e3779b9))
-    | None, None, None, None, None, None, Some it ->
+    | None, None, None, None, None, Some it ->
         let iters = max 1 (int_of_string it) in
         ("repeat", fun () -> repeat_plot ~iters ~seed:(seed 0x9e3779b9))
-    | None, None, None, None, None, None, None -> ("full", full_suite)
+    | None, None, None, None, None, None -> ("full", full_suite)
   in
   (* the full suite's sections carry their own spans *)
-  (try if mode = "full" then run () else bench_span mode run
-   with Gate.Stop -> print_endline "\n(a failed gate stopped this mode early)");
+  (* a mode that raises still ends in its gate table and artifact, with
+     the exception as one failing row *)
+  (try if mode = "full" then run () else bench_span mode run with
+  | Gate.Stop -> print_endline "\n(a failed gate stopped this mode early)"
+  | e ->
+      let why = Printexc.to_string e in
+      Printf.printf "\n(this mode raised: %s)\n" why;
+      Gate.row (mode ^ ".raised") nan why false);
   let passed = Gate.report () in
   if obs_on then begin
     let out = Printf.sprintf "BENCH_%s.json" mode in

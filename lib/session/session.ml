@@ -352,7 +352,6 @@ let close_session srv sid =
   | Some sess ->
       wal_append srv ~kind:k_close (Printf.sprintf "{\"sid\":%d}" sid);
       Panel.set_op_hook sess.vis.Visualinux.panel None;
-      Visualinux.detach sess.vis;
       Hashtbl.remove srv.sessions sid;
       sessions_gauge srv;
       let sh = sess.shared in

@@ -139,8 +139,7 @@ val open_session :
 
 val close_session : server -> sid -> unit
 (** Idempotent; a closed prober or probation entry is dropped from its
-    target's recovery bookkeeping, and the session's attach is
-    {!Visualinux.detach}ed. *)
+    target's recovery bookkeeping. *)
 
 val session_ids : server -> sid list
 val session_name : server -> sid -> string option

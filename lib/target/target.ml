@@ -46,25 +46,10 @@ type profile = Transport.profile = {
 
 module Pages = Map.Make (Int)
 
-(* A lane's cache miss.  The lane performs the read from its own Kmem
-   view at once and logs it; [absorb] replays the log on the parent's
-   wire.  [m_len] is both the extent whose stamps decide hit or miss
-   and the bytes a fetch charges; [m_fill] is the extent a fetch
-   stamps (longer for a string); [m_gens] are the lane-view generations
-   of the checked pages, first page first. *)
-type miss = {
-  m_at : addr;
-  m_len : int;
-  m_fill : int;
-  m_gens : int list;
-  m_prefetch : bool;  (* a struct prefetch: coalesced, never a hit or miss *)
-}
-
 (* Where a read the cache cannot serve goes. *)
 type wire =
   | Local  (* no transport: reads are local and free, the cache is bypassed *)
   | Remote of (Transport.t * Transport.op)  (* the link, and the policy its reads run under *)
-  | Lane of miss list ref  (* a fork: misses logged, newest first *)
 
 type t = {
   kmem : Kmem.t;
@@ -79,15 +64,10 @@ type t = {
   mutable sections : section list;  (* innermost consistent section first *)
   mutable read_hook : (unit -> unit) option;  (* chaos: fired between reads *)
   mutable in_hook : bool;  (* reentrancy guard for [read_hook] *)
-  (* Installed by split-chaos: [fork] consults it to derive a lane-local
-     read hook that mutates the lane's own Kmem view (never the shared
-     base), keyed by the deterministic lane id. *)
-  mutable hook_fork : (lane:int -> Kmem.t -> (unit -> unit) option) option;
   (* Generation-validated read cache (transport-avoidance only): page
      index -> Kmem page generation at fill.  A lookup is a hit when
      every page of the read still carries its fill-time generation; any
-     Kmem write bumps the page's generation, invalidating lazily.
-     Persistent, so a lane fork snapshots it in O(1). *)
+     Kmem write bumps the page's generation, invalidating lazily. *)
   mutable rcache : int Pages.t;
   mutable cache_on : bool;
   mutable ch_hits : int;
@@ -111,7 +91,6 @@ let create kmem reg =
     sections = [];
     read_hook = None;
     in_hook = false;
-    hook_fork = None;
     rcache = Pages.empty;
     cache_on = true;
     ch_hits = 0;
@@ -122,7 +101,7 @@ let create kmem reg =
 let mem t = t.kmem
 let types t = t.reg
 let set_transport ?(op = Transport.solo) t tr = t.wire <- Remote (tr, op)
-let transport t = match t.wire with Remote (tr, _) -> Some tr | Local | Lane _ -> None
+let transport t = match t.wire with Remote (tr, _) -> Some tr | Local -> None
 
 let with_wire t tr op f =
   let saved = t.wire in
@@ -132,7 +111,7 @@ let with_wire t tr op f =
 let deadline_exceeded t =
   match t.wire with
   | Remote (tr, op) -> Transport.deadline_exceeded tr op
-  | Local | Lane _ -> false
+  | Local -> false
 
 (* ------------------------------------------------------------------ *)
 (* Fault journal *)
@@ -259,7 +238,6 @@ let section_pages sec =
   |> List.sort compare
 
 let set_read_hook t h = t.read_hook <- h
-let set_hook_fork t f = t.hook_fork <- f
 
 (* Fire the chaos hook after a performed read.  The guard stops a hook
    whose mutators themselves go through this target from recursing. *)
@@ -356,15 +334,13 @@ let clear_read_cache t = t.rcache <- Pages.empty
    served: while the link is down or the breaker is open, every read
    must go through (and be refused by) the transport, so that crash
    semantics — stale panes, Link_lost faults, frozen read counters —
-   are identical with and without caching.  A lane's parent wire is
-   infallible for the whole split (see [can_split]). *)
+   are identical with and without caching. *)
 let cache_usable t =
   t.cache_on
   &&
   match t.wire with
   | Local -> false
   | Remote (tr, _) -> Transport.link tr = Transport.Up && Transport.breaker tr = Transport.Closed
-  | Lane _ -> true
 
 (* The running hit rate as a metrics gauge, refreshed on every cache
    decision while obs is on — so cache effectiveness shows up in the
@@ -395,19 +371,12 @@ let cache_coalesced t a n =
   if Obs.enabled () then Obs.Counter.incr c_coalesced;
   fill_pages t a n
 
-(* Append a miss over [\[a, a+len)] to a lane's [log]. *)
-let log_miss t log ~prefetch a len fill =
-  let first, last = page_span a len in
-  let m_gens = List.init (last - first + 1) (fun i -> Kmem.page_generation t.kmem (first + i)) in
-  log := { m_at = a; m_len = len; m_fill = fill; m_gens; m_prefetch = prefetch } :: !log
-
 (* A read the cache could not serve.  On the wire it is one fetch of
    [len] bytes: the Kmem thunk only runs if the transport lets the read
    through — an open breaker, a dead link or an exhausted deadline
    budget refuses it, records the matching typed fault and yields
    [default], so extraction degrades to broken boxes instead of
-   blocking on a flaky link.  In a lane it is performed at once and
-   logged for replay at the join.  A served read stamps [fill v] bytes. *)
+   blocking on a flaky link.  A served read stamps [fill v] bytes. *)
 let missed t ~ctx ~at ~len ~default ~fill perform =
   let served () =
     let v = perform () in
@@ -416,10 +385,6 @@ let missed t ~ctx ~at ~len ~default ~fill perform =
   in
   match t.wire with
   | Local -> perform ()
-  | Lane log ->
-      let v = served () in
-      log_miss t log ~prefetch:false at len (fill v);
-      v
   | Remote (tr, op) -> (
       (* a refusal (link down, breaker open) bypassed the cache: it is a
          short circuit on the wire, not a miss *)
@@ -457,9 +422,6 @@ let prefetch t a n =
   if cache_usable t && stale t a n then
     match t.wire with
     | Local -> ()
-    | Lane log ->
-        log_miss t log ~prefetch:true a n n;
-        fill_pages t a n
     | Remote w -> ignore (coalesce t w a n)
 
 (* ------------------------------------------------------------------ *)
@@ -513,7 +475,7 @@ let prefetch_runs t extents =
           if cache_usable t && (not (Transport.deadline_exceeded tr op)) && coalesce t w a n then
             Obs.Counter.incr c_planned)
         (plan_runs (Transport.profile_of tr) (List.filter (fun (a, n) -> stale t a n) extents))
-  | Local | Remote _ | Lane _ -> ()
+  | Local | Remote _ -> ()
 
 let read_scalar t ~ctx a size signed =
   if not (validate t ~ctx a) then 0
@@ -796,105 +758,3 @@ let kgdb_rpi400 = Transport.kgdb_rpi400
 
 let simulated_ms p st =
   (float_of_int st.reads *. p.rtt_ms) +. (float_of_int st.bytes *. p.byte_ms)
-
-(* ------------------------------------------------------------------ *)
-(* Per-lane forks (parallel extraction).
-
-   A fork is a target over a [Kmem.fork] view of the base memory for
-   one extraction lane: the type registry, symbol/macro/helper tables
-   and allocation map are shared physically (read-only during a
-   parallel region), everything mutable — journal, sinks, sections,
-   read cache, counters, hooks — is lane-local.  A lane owns no wire:
-   each cache miss is performed from the lane's own view at once and
-   logged, and [absorb] replays the log on the parent's wire.  The read
-   cache starts from the parent's page stamps as they stand at the fork
-   (an O(1) share of the persistent map; the lane's own fills extend
-   only its copy).  Forks are built on the submitting thread in program
-   order, so that snapshot is a function of the program, not of when
-   the lane runs; every stamp is still re-validated against the lane's
-   own Kmem view.  Combined with the per-lane injection/chaos streams,
-   a lane's entire execution — its miss log included — is a
-   deterministic function of its lane id and program slice,
-   independent of domain count and steal schedule. *)
-
-(* A lane's reads always succeed, so its log replays exactly only over
-   a wire that cannot refuse a fetch. *)
-let can_split t =
-  match t.wire with
-  | Local -> true
-  | Remote (tr, op) -> Transport.infallible tr op
-  | Lane _ -> false
-
-let fork ?(lane = 0) t =
-  if not (can_split t) then invalid_arg "Target.fork: the wire can refuse a fetch";
-  let kmem = Kmem.fork ~lane t.kmem in
-  let ft =
-    {
-      kmem;
-      reg = t.reg;
-      symbols = t.symbols;
-      macros = t.macros;
-      helpers = t.helpers;
-      journal = [];
-      nfaults = 0;
-      sinks = [];
-      wire = (match t.wire with Local -> Local | Remote _ | Lane _ -> Lane (ref []));
-      sections = [];
-      read_hook = None;
-      in_hook = false;
-      hook_fork = t.hook_fork;
-      rcache = t.rcache;
-      cache_on = t.cache_on;
-      ch_hits = 0;
-      ch_misses = 0;
-      ch_coalesced = 0;
-    }
-  in
-  (match t.hook_fork with Some f -> ft.read_hook <- f ~lane kmem | None -> ());
-  ft
-
-let is_fork t = Kmem.is_fork t.kmem
-
-(* Replay one lane miss against the parent's read cache: a hit when the
-   parent holds stamps equal to the generations the lane saw (so a page
-   the lane's own chaos wrote never hits), otherwise one fetch on the
-   parent's wire that fills the parent cache.  It is counted as
-   whatever it turned out to be, as the sequential read would have
-   been. *)
-let replay t (tr, op) m =
-  let rec stamped p = function
-    | [] -> true
-    | g :: gs -> (
-        match Pages.find_opt p t.rcache with
-        | Some s -> s = g && stamped (p + 1) gs
-        | None -> false)
-  in
-  if cache_usable t && stamped (m.m_at lsr Kmem.page_bits) m.m_gens then begin
-    if not m.m_prefetch then cache_hit t
-  end
-  else begin
-    if not m.m_prefetch then cache_miss t;
-    match Transport.fetch tr op ~bytes:m.m_len (fun () -> ()) with
-    | Ok () ->
-        if m.m_prefetch then cache_coalesced t m.m_at m.m_fill
-        else if t.cache_on then fill_pages t m.m_at m.m_fill
-    | Error _ -> ()  (* unreachable: lanes exist only over an infallible wire *)
-  end
-
-(* Deterministic join: fold a lane's accounting back into the parent
-   and replay its misses on the parent's wire.  Callers absorb lanes in
-   lane order, so the merged journal, counters, read cache and wire
-   accounting are identical across domain counts. *)
-let absorb t child =
-  Kmem.absorb t.kmem child.kmem;
-  t.nfaults <- t.nfaults + child.nfaults;
-  t.journal <- child.journal @ t.journal;
-  child.journal <- [];
-  child.nfaults <- 0;
-  t.ch_hits <- t.ch_hits + child.ch_hits;
-  child.ch_hits <- 0;
-  match (t.wire, child.wire) with
-  | Remote w, Lane log ->
-      List.iter (replay t w) (List.rev !log);
-      log := []
-  | _ -> ()

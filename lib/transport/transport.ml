@@ -124,10 +124,7 @@ type t = {
   mutable retry_denials : int;
   (* thread-safe fetch gate: a transport's mutable state (rng, clock,
      breaker, counters) is only ever touched under this lock, so a
-     transport shared across extraction domains serializes rather than
-     corrupts.  Parallel extraction lanes never touch the wire (their
-     misses are replayed at the join, see [Target.absorb]); the lock is
-     the safety net, not the fast path. *)
+     transport shared across domains serializes rather than corrupts *)
   lock : Mutex.t;
 }
 
@@ -279,14 +276,6 @@ let budget_spent t = t.spent_ms
 
 let deadline_exceeded t op =
   match op.deadline_ms with Some d -> t.spent_ms >= d | None -> false
-
-(* No fetch can fail or be refused: no fault can fire, and no breaker,
-   deadline or gate stands in the way. *)
-let infallible t op =
-  t.link = Up && t.brk = Closed
-  && (not (any_faults op.faults))
-  && (not (any_faults t.base_faults))
-  && op.deadline_ms = None && Option.is_none op.admit && Option.is_none op.retry
 
 (* ------------------------------------------------------------------ *)
 (* The resilient read *)

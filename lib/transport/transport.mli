@@ -176,16 +176,8 @@ val fetch : t -> op -> bytes:int -> (unit -> 'a) -> ('a, error) result
 
     Thread-safe: the whole fetch (rng draw, clock charge, breaker
     accounting, [perform]) runs under the transport's internal mutex,
-    so a transport shared across extraction domains serializes rather
-    than corrupts — but the draw order would then depend on the
-    interleaving, so parallel extraction lanes never fetch: they log
-    their misses and the join replays them here (see {!Target.absorb}). *)
-
-val infallible : t -> op -> bool
-(** No fetch under [op] can fail or be refused right now: link up,
-    breaker closed, no base or op faults, no deadline, and no admission
-    or retry gate.  Parallel extraction splits a loop only over such a
-    wire. *)
+    so a transport shared across domains serializes rather than
+    corrupts. *)
 
 (* ------------------------------------------------------------------ *)
 (** {1 Health} *)

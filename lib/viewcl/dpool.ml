@@ -1,18 +1,15 @@
-(* A small work-stealing pool of OCaml 5 domains for parallel
-   extraction.  One deque per member (slot 0 is the caller, who helps
-   drain every batch it submits); push and LIFO pop happen at a
+(* A small work-stealing pool of OCaml 5 domains; nothing in lib/
+   submits to it (see dpool.mli).  One deque per member (slot 0 is the
+   caller, who helps drain every batch it submits); push and LIFO pop happen at a
    member's own deque, idle members steal FIFO from the others' tails.
    All deque traffic runs under one pool mutex — batches are tens of
-   coarse lane tasks, so lock-free deques would buy nothing here —
-   and a single condition carries both "work arrived" and "a task
-   finished".  Determinism is the caller's contract, not the pool's:
-   results come back in submission order whatever the interleaving,
-   and lane tasks must depend only on their lane id (see Interp). *)
+   coarse tasks, so lock-free deques would buy nothing here — and a
+   single condition carries both "work arrived" and "a task finished".
+   Results come back in submission order whatever the interleaving. *)
 
 let wid_key : int Domain.DLS.key = Domain.DLS.new_key (fun () -> 0)
 
 type t = {
-  size : int; (* members, including the caller *)
   mutex : Mutex.t;
   cond : Condition.t;
   deques : (unit -> unit) list ref array; (* head = bottom (LIFO end) *)
@@ -61,7 +58,7 @@ let rec worker t wid =
 let create n =
   let size = max 1 n in
   let t =
-    { size; mutex = Mutex.create (); cond = Condition.create ();
+    { mutex = Mutex.create (); cond = Condition.create ();
       deques = Array.init size (fun _ -> ref []); live = true; domains = [];
       times_ms = []; executed = 0; stolen = 0 }
   in
@@ -70,8 +67,6 @@ let create n =
         let wid = i + 1 in
         Domain.spawn (fun () -> Domain.DLS.set wid_key wid; worker t wid));
   t
-
-let size t = t.size
 
 (* A batch is settled in submission order: each task files its result
    under its index and the submitter helps drain until every task of
@@ -129,34 +124,3 @@ let shutdown t =
   Mutex.unlock t.mutex;
   List.iter Domain.join t.domains;
   t.domains <- []
-
-let default_domains () =
-  match Sys.getenv_opt "VISUALINUX_DOMAINS" with
-  | Some s ->
-      (match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 -> min n 64
-      | _ -> 1)
-  | None -> 1
-
-(* LPT (longest-processing-time-first) greedy schedule of the measured
-   lane busy times onto [domains] bins.  [serial_ms] is the whole
-   plot's wall time at one domain; the un-sharded remainder
-   [serial_ms - sum durations] stays serial in the model.  This is the
-   machine-independent speedup the par gate uses: on a box with fewer
-   cores than domains, measured wall time says nothing about the
-   schedule, but the busy times still do. *)
-let model_speedup ~domains ~serial_ms durations =
-  let total = List.fold_left ( +. ) 0. durations in
-  let serial_ms = Float.max serial_ms total in
-  if domains <= 1 || total <= 0. || serial_ms <= 0. then 1.0
-  else begin
-    let bins = Array.make domains 0. in
-    List.iter
-      (fun d ->
-        let m = ref 0 in
-        Array.iteri (fun i v -> if v < bins.(!m) then m := i) bins;
-        bins.(!m) <- bins.(!m) +. d)
-      (List.sort (fun a b -> Float.compare b a) durations);
-    let makespan = Array.fold_left Float.max 0. bins in
-    serial_ms /. (serial_ms -. total +. makespan)
-  end

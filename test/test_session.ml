@@ -451,9 +451,13 @@ let test_deadline_scoped_to_op () =
   (match Session.vplot srv sid "define ??? as" with
   | exception Viewcl.Error _ -> ()
   | _ -> Alcotest.fail "a malformed program must raise");
-  let tgt = vis.Visualinux.target in
-  Alcotest.(check bool) "a raising op leaves the home wire solo" true
-    (Target.can_split tgt && not (Target.deadline_exceeded tgt))
+  (* were the op's wire still bound, its 3 ms deadline would truncate
+     this cold re-plot *)
+  Target.clear_read_cache vis.Visualinux.target;
+  let boxes, faults = direct vis in
+  Alcotest.(check int) "a raising op leaves the home wire solo: plot = control" boxes0 boxes;
+  Alcotest.(check bool) "a raising op leaves the home wire solo: no timeout" false
+    (List.exists timed_out faults || Target.deadline_exceeded vis.Visualinux.target)
 
 (* Per-session deltas sum to the global totals: every read, cache
    decision, budget refusal and wire millisecond on the shared link is

@@ -304,25 +304,6 @@ let test_plot_stats_sane () =
     stats.Visualinux.bytes;
   Alcotest.(check bool) "wall time measured" true (stats.Visualinux.wall_ms >= 0.)
 
-(* An attach at >= 2 domains spawns a pool; detach must stop it.  130
-   cycles pass OCaml's 128-domain cap, so leaked pools would make
-   [Domain.spawn] fail. *)
-let test_detach_releases_pool () =
-  let k, _, _ = session () in
-  let prev = Sys.getenv_opt "VISUALINUX_DOMAINS" in
-  Unix.putenv "VISUALINUX_DOMAINS" "2";
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "VISUALINUX_DOMAINS" (Option.value prev ~default:""))
-    (fun () ->
-      let sc = Option.get (Scripts.find "3-6") in
-      for i = 1 to 130 do
-        let s = Visualinux.attach k in
-        Alcotest.(check bool) "attach spawned a pool" true (s.Visualinux.pool <> None);
-        if i = 1 then ignore (Visualinux.plot_figure s sc);
-        Visualinux.detach s;
-        Visualinux.detach s
-      done)
-
 let suite =
   [ Alcotest.test_case "script library parses" `Quick test_scripts_parse;
     Alcotest.test_case "C1: all Table-2 figures plot" `Slow test_all_figures_plot;
@@ -337,5 +318,4 @@ let suite =
     Alcotest.test_case "session save + replay" `Quick test_session_replay;
     Alcotest.test_case "extraction determinism" `Slow test_extraction_deterministic;
     Alcotest.test_case "replot isomorphism" `Quick test_replot_isomorphic;
-    Alcotest.test_case "plot statistics" `Quick test_plot_stats_sane;
-    Alcotest.test_case "detach shuts down the attach's pool" `Quick test_detach_releases_pool ]
+    Alcotest.test_case "plot statistics" `Quick test_plot_stats_sane ]
