@@ -478,35 +478,25 @@ let repl_cmd =
               Ok ())
       | [ "vprof"; "on" ] | [ "vprof"; "off" ] ->
           let enable = words = [ "vprof"; "on" ] in
-          (match
-             Visualinux.vprof s (if enable then Visualinux.Prof_on else Visualinux.Prof_off)
-           with
-          | Visualinux.Prof_state b ->
-              Printf.printf "tracing %s\n" (if b then "on" else "off")
-          | _ -> ());
+          Obs.set_enabled enable;
+          Printf.printf "tracing %s\n" (if enable then "on" else "off");
           Ok ()
       | [ "vprof"; "report" ] ->
-          (match Visualinux.vprof s Visualinux.Prof_report with
-          | Visualinux.Prof_text txt -> print_string txt
-          | _ -> ());
+          print_string (Obs.report ());
           Ok ()
       | [ "vprof"; "export"; "--metrics"; file ] ->
-          (match Visualinux.vprof s (Visualinux.Prof_export_metrics file) with
-          | Visualinux.Prof_written f -> Printf.printf "metrics written to %s\n" f
-          | _ -> ());
+          Durable.write_file file (Obs.metrics_json ());
+          Printf.printf "metrics written to %s\n" file;
           Ok ()
       | [ "vprof"; "export"; "--prom"; file ] ->
-          (match Visualinux.vprof s (Visualinux.Prof_export_prom file) with
-          | Visualinux.Prof_written f -> Printf.printf "prometheus scrape written to %s\n" f
-          | _ -> ());
+          Durable.write_file file (Obs.prometheus ());
+          Printf.printf "prometheus scrape written to %s\n" file;
           Ok ()
       | [ "vprof"; "export"; file ] ->
-          (match Visualinux.vprof s (Visualinux.Prof_export file) with
-          | Visualinux.Prof_written f ->
-              Printf.printf "trace written to %s (%d events, %d links)\n" f
-                (Obs.event_count ())
-                (List.length (Obs.Trace.links ()))
-          | _ -> ());
+          Durable.write_file file (Obs.chrome_trace ());
+          Printf.printf "trace written to %s (%d events, %d links)\n" file
+            (Obs.event_count ())
+            (List.length (Obs.Trace.links ()));
           Ok ()
       | "vprof" :: _ ->
           Error "usage: vprof on|off|report|export [--metrics|--prom] <file>"
@@ -527,9 +517,7 @@ let repl_cmd =
               Ok ())
       | "vverify" :: _ -> Error "usage: vverify <pane>"
       | [ "save"; file ] ->
-          let oc = open_out file in
-          output_string oc (Panel.to_json s.Visualinux.panel);
-          close_out oc;
+          Durable.write_file file (Panel.to_json s.Visualinux.panel);
           Printf.printf "session saved to %s\n" file;
           Ok ()
       | [ "session"; "new"; name ] | [ "session"; "new"; name; _ ] ->

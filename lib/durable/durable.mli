@@ -93,7 +93,6 @@ val set_crash : ?fault:fault -> t -> after:int -> unit
     are stored, all later ones dropped.  [fault] additionally mangles
     the {!disk_image}. *)
 
-val clear_crash : t -> unit
 val crashed : t -> bool
 
 val disk_image : t -> string

@@ -126,14 +126,13 @@ let spans_total () = !spans_seen
    which must never key a table), and each base name is capped at
    [max_breakdown] distinct keys — the overflow bucket keeps the totals
    honest without unbounded growth. *)
-let breakdown_keys = ref [ "profile"; "target"; "replica"; "sid" ]
-let set_breakdown_keys ks = breakdown_keys := ks
+let breakdown_keys = [ "profile"; "target"; "replica"; "sid" ]
 let agg_attr_tbl : (string, agg) Hashtbl.t = Hashtbl.create 64
 let agg_attr_card : (string, int) Hashtbl.t = Hashtbl.create 16
 let max_breakdown = 64
 
 let breakdown_key name attrs =
-  match List.filter (fun (k, _) -> List.mem k !breakdown_keys) attrs with
+  match List.filter (fun (k, _) -> List.mem k breakdown_keys) attrs with
   | [] -> None
   | kvs ->
       let kvs = List.sort (fun (a, _) (b, _) -> compare a b) kvs in

@@ -237,15 +237,10 @@ module Profile : sig
   (** Per-(name + selected attrs) aggregates — rows named like
       ["transport.fetch{profile=kgdb_rpi400}"] — updated at span end
       like {!rows}, so per-target splits survive ring eviction. Only
-      attrs whose key is in the breakdown key set are folded in, and
-      each base name is capped at 64 distinct attr combinations (the
-      overflow lands in ["name{...}"]). *)
+      the low-cardinality attrs [profile], [target], [replica] and
+      [sid] are folded in, and each base name is capped at 64 distinct
+      attr combinations (the overflow lands in ["name{...}"]). *)
 end
-
-val set_breakdown_keys : string list -> unit
-(** The attr keys folded into {!Profile.breakdown} aggregate keys
-    (default [["profile"; "target"; "replica"; "sid"]]). Never include
-    a high-cardinality attr (byte counts, addresses). *)
 
 (** {1 SLO engine} *)
 

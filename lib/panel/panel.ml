@@ -304,8 +304,9 @@ let close t id =
   t.layout <- Option.join (Option.map prune t.layout)
 
 (* ------------------------------------------------------------------ *)
-(* Persistence: serialize programs + refinement history, so a debugging
-   session's views can be re-created against a (new) kernel state. *)
+(* Layout view: the split tree plus each pane's program and refinement
+   history, as JSON.  Panes are rebuilt from the op journal below, not
+   from this view. *)
 
 let rec layout_to_json = function
   | Leaf id -> Printf.sprintf "{\"leaf\":%d}" id
@@ -327,38 +328,6 @@ let to_json t =
   Printf.sprintf "{\"layout\":%s,\"panes\":[%s]}"
     (match t.layout with Some l -> layout_to_json l | None -> "null")
     (String.concat "," (List.map (fun id -> pane_to_json (pane t id)) (pane_ids t)))
-
-(** Recover the replayable (program, history) pairs from a session JSON
-    produced by {!to_json}. *)
-let programs_of_json json =
-  let j = Json.parse json in
-  match Json.member "panes" j with
-  | Some (Json.List panes) ->
-      List.filter_map
-        (fun p ->
-          match Json.member "program" p with
-          | Some (Json.String program) ->
-              let history =
-                match Json.member "history" p with
-                | Some (Json.List hs) ->
-                    List.filter_map (function Json.String h -> Some h | _ -> None) hs
-                | _ -> []
-              in
-              Some (program, history)
-          | _ -> None)
-        panes
-  | _ -> []
-
-(** The (program, history) pairs of all primary panes — enough to replay a
-    session against a fresh target. *)
-let saved_programs t =
-  List.filter_map
-    (fun id ->
-      let p = pane t id in
-      match p.kind with
-      | Primary { program } -> Some (program, p.history)
-      | Secondary _ -> None)
-    (pane_ids t)
 
 (* ------------------------------------------------------------------ *)
 (* Crash-safe recovery: the journal is the session.  Serialize it after
@@ -385,48 +354,44 @@ let journal_to_json t =
   Printf.sprintf "{\"journal\":[%s]}"
     (String.concat "," (List.map op_to_json (journal t)))
 
+let op_of_json o =
+  let str k = Option.map Json.to_str (Json.member k o) in
+  let int k = Option.map Json.to_int (Json.member k o) in
+  match str "op" with
+  | Some "open" -> Option.map (fun program -> Jopen { program }) (str "program")
+  | Some "split" -> (
+      match (str "dir", int "at", str "program") with
+      | Some d, Some at, Some program ->
+          Some (Jsplit { dir = (if d = "v" then `Vertical else `Horizontal); at; program })
+      | _ -> None)
+  | Some "select" -> (
+      match (int "from", Json.member "picked" o) with
+      | Some from_, Some (Json.List ps) ->
+          Some (Jselect { from_; picked = List.map Json.to_int ps })
+      | _ -> None)
+  | Some "refine" -> (
+      match (int "at", str "viewql") with
+      | Some at, Some viewql -> Some (Jrefine { at; viewql })
+      | _ -> None)
+  | Some "close" -> Option.map (fun id -> Jclose { id }) (int "id")
+  | Some "reserve" -> Option.map (fun n -> Jreserve { n }) (int "n")
+  | _ -> None
+
 let journal_of_json json =
-  let j = Json.parse json in
-  match Json.member "journal" j with
-  | Some (Json.List ops) ->
-      List.filter_map
-        (fun o ->
-          let str k = Option.map Json.to_str (Json.member k o) in
-          let int k = Option.map Json.to_int (Json.member k o) in
-          match str "op" with
-          | Some "open" ->
-              Option.map (fun program -> Jopen { program }) (str "program")
-          | Some "split" -> (
-              match (str "dir", int "at", str "program") with
-              | Some d, Some at, Some program ->
-                  Some
-                    (Jsplit
-                       { dir = (if d = "v" then `Vertical else `Horizontal);
-                         at; program })
-              | _ -> None)
-          | Some "select" -> (
-              match (int "from", Json.member "picked" o) with
-              | Some from_, Some (Json.List ps) ->
-                  Some (Jselect { from_; picked = List.map Json.to_int ps })
-              | _ -> None)
-          | Some "refine" -> (
-              match (int "at", str "viewql") with
-              | Some at, Some viewql -> Some (Jrefine { at; viewql })
-              | _ -> None)
-          | Some "close" -> Option.map (fun id -> Jclose { id }) (int "id")
-          | Some "reserve" -> Option.map (fun n -> Jreserve { n }) (int "n")
-          | _ -> None)
-        ops
+  match Json.member "journal" (Json.parse json) with
+  | Some (Json.List ops) -> List.filter_map op_of_json ops
   | _ -> []
 
 (** Replay a journal against a reconnected target.  [extract] runs a
-    pane's ViewCL program against the new target; when it fails (link
-    still down, budget spent) the pane is created anyway — empty graph,
-    [stale] flag set — so pane ids keep the pre-crash numbering and a
-    later {!refresh} can fill it in.  Ops referencing panes that no
-    longer resolve are skipped, never raised: recovery of a damaged
-    journal degrades to a partial layout.  Returns the rebuilt panel
-    and the number of panes that came back stale. *)
+    pane's ViewCL program against the new target; when it yields [None]
+    (link still down, budget spent) the pane is created anyway — empty
+    graph, [stale] flag set — so pane ids keep the pre-crash numbering
+    and a later {!refresh} can fill it in.  Any other failure of
+    [extract] propagates.  Ops referencing panes that no longer resolve
+    (a refine's ViewQL no longer parses, a pane id is gone) are skipped,
+    never raised: recovery of a damaged journal degrades to a partial
+    layout.  Returns the rebuilt panel and the number of panes that
+    came back stale. *)
 let recover ~extract ops =
   Obs.with_span ~cat:"panel"
     ~attrs:[ ("ops", string_of_int (List.length ops)) ]
@@ -435,7 +400,7 @@ let recover ~extract ops =
   let t = create () in
   let failed = ref 0 in
   let graph_for program =
-    match (try extract program with _ -> None) with
+    match extract program with
     | Some g -> (g, false)
     | None ->
         incr failed;
@@ -443,49 +408,37 @@ let recover ~extract ops =
   in
   List.iter
     (fun op ->
-      try
-        match op with
-        | Jopen { program } ->
-            let g, stale = graph_for program in
-            ignore (open_primary ~stale t ~program g)
-        | Jsplit { dir; at; program } ->
-            let g, stale = graph_for program in
-            if Hashtbl.mem t.panes at then ignore (split ~stale t ~dir ~at ~program g)
-            else ignore (open_primary ~stale t ~program g)
-        | Jselect { from_; picked } ->
-            if Hashtbl.mem t.panes from_ then ignore (select t ~from:from_ picked)
-        | Jrefine { at; viewql } ->
-            if Hashtbl.mem t.panes at then ignore (refine t ~at viewql)
-        | Jclose { id } -> close t id
-        | Jreserve { n } ->
-            (* skip the ids the dropped ops would have consumed, and keep
-               the reserve in the rebuilt journal so a *second* recovery
-               numbers panes identically *)
-            t.next_id <- t.next_id + n;
-            checkpoint t (Jreserve { n })
-      with _ -> ())
+      match op with
+      | Jopen { program } ->
+          let g, stale = graph_for program in
+          ignore (open_primary ~stale t ~program g)
+      | Jsplit { dir; at; program } ->
+          let g, stale = graph_for program in
+          if Hashtbl.mem t.panes at then ignore (split ~stale t ~dir ~at ~program g)
+          else ignore (open_primary ~stale t ~program g)
+      | Jselect { from_; picked } ->
+          if Hashtbl.mem t.panes from_ then ignore (select t ~from:from_ picked)
+      | Jrefine { at; viewql } -> (
+          if Hashtbl.mem t.panes at then
+            try ignore (refine t ~at viewql) with Viewql.Error _ | Invalid_argument _ -> ())
+      | Jclose { id } -> close t id
+      | Jreserve { n } ->
+          (* skip the ids the dropped ops would have consumed, and keep
+             the reserve in the rebuilt journal so a *second* recovery
+             numbers panes identically *)
+          t.next_id <- t.next_id + n;
+          checkpoint t (Jreserve { n }))
     ops;
   (t, !failed)
 
-(** Re-extract one stale primary pane against a (recovered) target and
-    replay its ViewQL history onto the fresh graph.  Secondary panes
-    refresh implicitly: they share their source's graph object only at
-    creation, so the caller re-selects if needed.  Returns [true] when
-    the pane is live again. *)
-let refresh t ~at ~extract =
-  match pane_opt t at with
-  | None -> false
-  | Some p -> (
-      match p.kind with
-      | Secondary _ -> false
-      | Primary { program } -> (
-          match (try extract program with _ -> None) with
-          | None -> false
-          | Some graph ->
-              let session = Viewql.make_session graph in
-              List.iter
-                (fun h -> try ignore (Viewql.exec session h) with _ -> ())
-                p.history;
-              Hashtbl.replace t.panes at
-                { p with graph; session; stale = false };
-              true))
+(** Install a freshly extracted [graph] in primary pane [at] and replay
+    the pane's ViewQL history onto it; the pane is live again.
+    Secondary panes share their source's graph object only at creation,
+    so the caller re-selects if needed. *)
+let refresh t ~at graph =
+  let p = pane t at in
+  let session = Viewql.make_session graph in
+  List.iter
+    (fun h -> try ignore (Viewql.exec session h) with Viewql.Error _ | Invalid_argument _ -> ())
+    p.history;
+  Hashtbl.replace t.panes at { p with graph; session; stale = false }

@@ -75,21 +75,15 @@ val focus : t -> addr:int -> (pane_id * Vgraph.box_id) list
 val close : t -> pane_id -> unit
 (** Remove a pane and prune the layout tree. *)
 
-(** {1 Persistence} *)
+(** {1 Layout view} *)
 
 val layout_to_json : layout -> string
 val pane_to_json : pane -> string
 
 val to_json : t -> string
-(** Serialize layout + per-pane programs and refinement histories. *)
-
-val programs_of_json : string -> (string * string list) list
-(** Recover the replayable (program, history) pairs from {!to_json}
-    output. *)
-
-val saved_programs : t -> (string * string list) list
-(** Same, from a live session: every primary pane's ViewCL program and
-    its ViewQL history — enough to replay against a fresh target. *)
+(** Serialize layout + per-pane programs and refinement histories.  A
+    view for saving and inspection; panes are rebuilt from the
+    {!journal}. *)
 
 (** {1 Crash-safe sessions}
 
@@ -126,6 +120,10 @@ val journal_to_json : t -> string
 val journal_of_json : string -> op list
 val op_to_json : op -> string
 
+val op_of_json : Json.t -> op option
+(** Inverse of {!op_to_json} on a parsed value; [None] for an unknown
+    or incomplete op. *)
+
 val mark_all_stale : t -> unit
 (** Called when the target link drops: every pane's graph is now of
     unknown freshness. *)
@@ -135,11 +133,14 @@ val stale_ids : t -> pane_id list
 val recover : extract:(string -> Vgraph.t option) -> op list -> t * int
 (** [recover ~extract ops] replays a journal against a reconnected
     target; [extract] runs a ViewCL program on it.  Panes whose
-    extraction fails are still created (empty graph, [stale] set) so
-    ids keep the pre-crash numbering; ops that no longer resolve are
-    skipped rather than raised.  Returns the rebuilt panel and the
-    number of stale panes. *)
+    extraction yields [None] are still created (empty graph, [stale]
+    set) so ids keep the pre-crash numbering; any other failure of
+    [extract] propagates.  Ops that no longer resolve are skipped
+    rather than raised.  Returns the rebuilt panel and the number of
+    stale panes. *)
 
-val refresh : t -> at:pane_id -> extract:(string -> Vgraph.t option) -> bool
-(** Re-extract one stale primary pane and replay its ViewQL history on
-    the fresh graph; [true] when the pane is live again. *)
+val refresh : t -> at:pane_id -> Vgraph.t -> unit
+(** [refresh t ~at graph] installs a freshly extracted graph in primary
+    pane [at], replays the pane's ViewQL history on it and clears its
+    [stale] flag.
+    @raise Invalid_argument on unknown ids. *)

@@ -154,8 +154,6 @@ let add_target srv ?transport name =
     { tname = name; target; state = Healthy; rr = 0; hsince = 0; qspan = 0 };
   srv.torder <- srv.torder @ [ name ]
 
-let target_names srv = srv.torder
-
 type health = [ `Healthy | `Degraded | `Quarantine of sid | `Probation of sid list ]
 
 let shared_of srv name =
@@ -263,20 +261,21 @@ let arm_wal_hook srv sess =
                 (Panel.op_to_json op));
            maybe_snapshot srv))
 
-let wal_open_payload sess =
-  Printf.sprintf "{\"sid\":%d,\"name\":\"%s\",\"target\":\"%s\",\"weight\":%d,\"budget\":%s,\"faults\":%s}"
+(* One session's entry: its config (a WAL k_open payload) or, with
+   [~snapshot:true], its config plus journal (a save_fleet entry). *)
+let session_json ?(snapshot = false) sess =
+  Printf.sprintf "{\"sid\":%d,\"name\":\"%s\",\"target\":\"%s\",\"weight\":%d%s,\"budget\":%s,\"faults\":%s%s}"
     sess.sid (Vgraph.json_escape sess.name)
     (Vgraph.json_escape sess.shared.tname)
-    sess.weight (budget_json sess.sbudget) (faults_json sess.sfaults)
+    sess.weight
+    (if snapshot then Printf.sprintf ",\"opno\":%d" sess.opno else "")
+    (budget_json sess.sbudget) (faults_json sess.sfaults)
+    (if snapshot then ",\"jn\":" ^ Panel.journal_to_json sess.vis.Visualinux.panel else "")
 
 let attach_wal srv d =
   srv.wal <- Some d;
   !wal_snapshot_ref srv;
   Hashtbl.iter (fun _ sess -> arm_wal_hook srv sess) srv.sessions
-
-let detach_wal srv =
-  Hashtbl.iter (fun _ sess -> Panel.set_op_hook sess.vis.Visualinux.panel None) srv.sessions;
-  srv.wal <- None
 
 let wal_of srv = srv.wal
 let set_wal_snapshot_limit srv n = srv.wal_limit <- max 1 n
@@ -340,7 +339,7 @@ let open_session ?(budget = unlimited) ?(faults = Transport.no_faults) ?(weight 
         ~attrs:[ ("sid", string_of_int sess.sid); ("name", name); ("target", target) ]
         "session.open";
     if srv.wal <> None then begin
-      wal_append srv ~kind:k_open (wal_open_payload sess);
+      wal_append srv ~kind:k_open (session_json sess);
       arm_wal_hook srv sess
     end;
     Admitted sess.sid
@@ -547,13 +546,12 @@ let healthy_replica srv sh =
     srv.torder
 
 (* The probe read, charged to the acting session: bring a dead link /
-   open breaker back to Half_open first (a refused fetch charges
-   nothing, so cooldown alone never elapses), then fire one 8-byte
-   canary under the session's own fault config.  The resync and the
-   canary's reads and wire ms land on the session's epoch budget — a
-   Half_open breaker's probe is real traffic, not free — and its
-   outcome feeds the wire's health EWMA, which is what eventually
-   satisfies the quarantine-exit decay gate. *)
+   open breaker back to Half_open first (only a reconnect leaves
+   Open), then fire one 8-byte canary under the session's own fault
+   config.  The resync and the canary's reads and wire ms land on the
+   session's epoch budget — a Half_open breaker's probe is real
+   traffic, not free — and its outcome feeds the wire's health EWMA,
+   which is what eventually satisfies the quarantine-exit decay gate. *)
 let fire_canary sess sh =
   match Target.transport sh.target with
   | None -> ()
@@ -909,15 +907,7 @@ let refresh_stale srv sid =
 (* Fleet snapshot / recovery *)
 
 let save_fleet srv =
-  let one sid =
-    let sess = Hashtbl.find srv.sessions sid in
-    Printf.sprintf
-      "{\"sid\":%d,\"name\":\"%s\",\"target\":\"%s\",\"weight\":%d,\"opno\":%d,\"budget\":%s,\"faults\":%s,\"jn\":%s}"
-      sid (Vgraph.json_escape sess.name)
-      (Vgraph.json_escape sess.shared.tname)
-      sess.weight sess.opno (budget_json sess.sbudget) (faults_json sess.sfaults)
-      (Panel.journal_to_json sess.vis.Visualinux.panel)
-  in
+  let one sid = session_json ~snapshot:true (Hashtbl.find srv.sessions sid) in
   Printf.sprintf "{\"fleet\":[%s]}"
     (String.concat "," (List.map one (session_ids srv)))
 
@@ -1041,17 +1031,7 @@ let plan_image image =
     | None -> ()
     | Some sid -> (
         let opno = match Json.member "opno" j with Some (Json.Int n) -> n | _ -> 0 in
-        let op =
-          match Json.member "op" j with
-          | Some o -> (
-              match
-                Panel.journal_of_json
-                  (Printf.sprintf "{\"journal\":[%s]}" (Json.to_string o))
-              with
-              | [ op ] -> Some op
-              | _ -> None)
-          | None -> None
-        in
+        let op = Option.bind (Json.member "op" j) Panel.op_of_json in
         let e = match Hashtbl.find_opt entries sid with Some e -> e | None -> ghost sid in
         if e.e_ghost then (
           (* a ghost's ids are untrustworthy anyway: keep what we have *)

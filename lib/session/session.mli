@@ -113,8 +113,6 @@ val add_target : server -> ?transport:Transport.t -> string -> unit
 (** Register a named shared target handle (its own link, breaker and
     read cache).  @raise Invalid_argument on duplicate names. *)
 
-val target_names : server -> string list
-
 (** A shared target's degradation state, as seen from outside.
     [`Degraded] is the graduated middle state: still serving, but
     shedding load (or hedging to a replica) while the fault EWMA is
@@ -247,7 +245,6 @@ val attach_wal : server -> Durable.t -> unit
     as the first segment (dropping any prior store contents), then taps
     every session's panel-op stream. *)
 
-val detach_wal : server -> unit
 val wal_of : server -> Durable.t option
 
 val set_wal_snapshot_limit : server -> int -> unit

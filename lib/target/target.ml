@@ -327,7 +327,6 @@ let set_read_cache t on =
   t.cache_on <- on;
   if not on then t.rcache <- Pages.empty
 
-let read_cache_enabled t = t.cache_on
 let clear_read_cache t = t.rcache <- Pages.empty
 
 (* The cache only ever substitutes for fetches the transport would have

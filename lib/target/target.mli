@@ -288,8 +288,6 @@ val set_read_cache : t -> bool -> unit
     chaos read hook all still happen, so cached and uncached runs issue
     the same Kmem read sequence. *)
 
-val read_cache_enabled : t -> bool
-
 val clear_read_cache : t -> unit
 (** Drop every cached page stamp (the next reads all miss). *)
 

@@ -1,9 +1,7 @@
 (* See transport.mli for the contract.  Design notes:
 
    - One simulated clock per transport, advanced by every charge; the
-     per-plot budget is a separate accumulator reset by [begin_plot], so
-     breaker cooldowns (absolute clock) and deadlines (per-plot spend)
-     do not interfere.
+     per-plot budget is a separate accumulator reset by [begin_plot].
    - The fault model and the backoff jitter are both driven by
      deterministic integer arithmetic seeded at [create]; no
      [Random], no wall clock, so a seeded run replays exactly.
@@ -43,7 +41,6 @@ type policy = {
   jitter : float;
   read_timeout_ms : float;
   breaker_threshold : int;
-  breaker_cooldown_ms : float;
 }
 
 (* Timeout on the order of the paper's worst observed round trips
@@ -51,8 +48,7 @@ type policy = {
    under a timeout so a retried read stays cheaper than two timeouts. *)
 let default_policy =
   { max_retries = 3; backoff_base_ms = 2.0; backoff_factor = 2.0; backoff_max_ms = 24.0;
-    jitter = 0.25; read_timeout_ms = 40.0; breaker_threshold = 5;
-    breaker_cooldown_ms = 250.0 }
+    jitter = 0.25; read_timeout_ms = 40.0; breaker_threshold = 5 }
 
 (* splitmix-style integer hash: the jitter source.  Pure in (seed,
    attempt) so the whole backoff schedule is a function of the seed. *)
@@ -101,7 +97,6 @@ type t = {
   mutable link : link;
   mutable brk : breaker;
   mutable consec_failures : int;
-  mutable half_open_at : float;  (* clock time when an Open breaker may probe *)
   mutable clock_ms : float;  (* simulated wire time, whole lifetime *)
   mutable spent_ms : float;  (* simulated wire time, current plot *)
   (* wire-health EWMAs: per-attempt fault rate and latency, moved only
@@ -131,7 +126,7 @@ type t = {
 let create ?(seed = 0x9e3779b9) ?(policy = default_policy) ?(faults = no_faults) prof =
   { prof; seed; policy; base_faults = faults; rng = seed; link = Up;
     brk = Closed; consec_failures = 0;
-    half_open_at = 0.; clock_ms = 0.; spent_ms = 0.; ew_fault = 0.; ew_lat = 0.; ew_n = 0;
+    clock_ms = 0.; spent_ms = 0.; ew_fault = 0.; ew_lat = 0.; ew_n = 0;
     reads_ok = 0;
     attempts = 0; retries = 0; stalls = 0; drops = 0; disconnects = 0; reconnects = 0;
     breaker_trips = 0; short_circuits = 0; deadline_hits = 0; retry_denials = 0;
@@ -179,11 +174,6 @@ module Health = struct
 
   let default_thresholds =
     { degrade_hi = 0.15; degrade_lo = 0.05; sick_hi = 0.45; sick_lo = 0.25; window = 8 }
-
-  let grade_to_string = function
-    | Fine -> "healthy"
-    | Degraded -> "degraded"
-    | Sick -> "sick"
 
   let step th g ~fr ~since =
     if since < th.window then g
@@ -250,13 +240,12 @@ let reconnect t =
 
 let trip t =
   set_brk t Open;
-  t.breaker_trips <- t.breaker_trips + 1;
-  t.half_open_at <- t.clock_ms +. t.policy.breaker_cooldown_ms
+  t.breaker_trips <- t.breaker_trips + 1
 
 let read_failed t =
   t.consec_failures <- t.consec_failures + 1;
   match t.brk with
-  | Half_open -> trip t  (* the probe failed: back to Open, new cooldown *)
+  | Half_open -> trip t  (* the probe failed: back to Open *)
   | Closed -> if t.consec_failures >= t.policy.breaker_threshold then trip t
   | Open -> ()
 
@@ -294,9 +283,8 @@ let fetch_raw t op ~bytes perform =
         t.deadline_hits <- t.deadline_hits + 1;
         Error err
     | None -> begin
-    (* breaker gate: Open refuses outright until the cooldown elapses,
-       then lets exactly one probe through in Half_open *)
-    (if t.brk = Open && t.clock_ms >= t.half_open_at then set_brk t Half_open);
+    (* breaker gate: Open refuses outright until a reconnect moves it
+       to Half_open, which lets exactly one probe through *)
     if t.brk = Open then begin
       t.short_circuits <- t.short_circuits + 1;
       Error Breaker_open

@@ -71,7 +71,6 @@ type policy = {
   jitter : float;  (** +- fraction applied to each backoff, in [0,1] *)
   read_timeout_ms : float;  (** cost charged for a stalled or dropped attempt *)
   breaker_threshold : int;  (** consecutive failed reads that trip the breaker *)
-  breaker_cooldown_ms : float;  (** open time before a half-open probe *)
 }
 
 val default_policy : policy
@@ -88,8 +87,10 @@ val backoff_ms : policy -> seed:int -> attempt:int -> float
 type link = Up | Down
 
 (** Circuit-breaker state machine:
-    [Closed] --N consecutive failures--> [Open] --cooldown elapses-->
-    [Half_open] --probe succeeds--> [Closed]; probe fails --> [Open]. *)
+    [Closed] --N consecutive failures--> [Open] --{!reconnect}-->
+    [Half_open] --probe succeeds--> [Closed]; probe fails --> [Open].
+    An [Open] breaker refuses every read at no wire cost, so only a
+    reconnect (the resync handshake) leaves it. *)
 type breaker = Closed | Open | Half_open
 
 (** Why a read was refused or abandoned. *)
@@ -245,7 +246,6 @@ module Health : sig
   }
 
   val default_thresholds : thresholds
-  val grade_to_string : grade -> string
 
   val step : thresholds -> grade -> fr:float -> since:int -> grade
   (** [step th g ~fr ~since]: the next grade given the current fault

@@ -428,7 +428,7 @@ let drop_everything = { Transport.stall_rate = 0.; drop_rate = 1.; disconnect_ra
 
 let trip_policy =
   { Transport.default_policy with
-    Transport.max_retries = 0; breaker_threshold = 2; breaker_cooldown_ms = 1e12 }
+    Transport.max_retries = 0; breaker_threshold = 2 }
 
 let test_prefetch_runs_refused () =
   let refused what setup =

@@ -89,7 +89,7 @@ let retry_cap_under_partial_loss =
 let test_breaker_zero_reads () =
   let policy =
     { Transport.default_policy with
-      Transport.max_retries = 0; breaker_threshold = 3; breaker_cooldown_ms = 1e12 }
+      Transport.max_retries = 0; breaker_threshold = 3 }
   in
   let tr = Transport.create ~seed:1 ~policy ~faults:drop_everything Transport.qemu_local in
   for _ = 1 to 3 do
@@ -163,7 +163,7 @@ let test_breaker_zero_kmem_reads () =
   let tgt = s.Visualinux.target in
   let policy =
     { Transport.default_policy with
-      Transport.max_retries = 0; breaker_threshold = 2; breaker_cooldown_ms = 1e12 }
+      Transport.max_retries = 0; breaker_threshold = 2 }
   in
   let tr = Transport.create ~seed:5 ~policy ~faults:drop_everything Transport.qemu_local in
   Target.set_transport tgt tr;
@@ -189,15 +189,14 @@ let test_breaker_zero_kmem_reads () =
 let test_breaker_half_open_recovery () =
   let policy =
     { Transport.default_policy with
-      Transport.max_retries = 0; breaker_threshold = 2; breaker_cooldown_ms = 10. }
+      Transport.max_retries = 0; breaker_threshold = 2 }
   in
   let tr = Transport.create ~seed:2 ~policy ~faults:drop_everything Transport.qemu_local in
   for _ = 1 to 2 do
     ignore (Transport.fetch tr Transport.solo ~bytes:8 (fun () -> ()))
   done;
   Alcotest.(check bool) "Open after threshold" true (Transport.breaker tr = Transport.Open);
-  (* heal the link; the first refused fetch charges nothing, so push the
-     clock past the cooldown with a reconnect resync *)
+  (* heal the link; only a reconnect resync moves an Open breaker on *)
   Transport.set_base_faults tr Transport.no_faults;
   Transport.reconnect tr;
   Alcotest.(check bool) "Half_open after resync" true
@@ -391,7 +390,19 @@ let test_journal_json_roundtrip () =
   let ops = Panel.journal s.Visualinux.panel in
   let ops' = Panel.journal_of_json (Panel.journal_to_json s.Visualinux.panel) in
   Alcotest.(check int) "op count survives json" (List.length ops) (List.length ops');
-  Alcotest.(check bool) "ops survive json round-trip" true (ops = ops')
+  Alcotest.(check bool) "ops survive json round-trip" true (ops = ops');
+  (* every op constructor, both split directions, and the reserve that
+     only compaction emits *)
+  List.iter
+    (fun op ->
+      let json = Panel.op_to_json op in
+      Alcotest.(check bool) json true (Panel.op_of_json (Json.parse json) = Some op))
+    [ Panel.Jopen { program = "plot \"x\"" };
+      Panel.Jsplit { dir = `Horizontal; at = 1; program = "p" };
+      Panel.Jsplit { dir = `Vertical; at = 2; program = "q" };
+      Panel.Jselect { from_ = 1; picked = [ 3; 4 ] };
+      Panel.Jrefine { at = 1; viewql = "a = SELECT task_struct FROM *" };
+      Panel.Jclose { id = 2 }; Panel.Jreserve { n = 3 } ]
 
 let suite =
   [ QCheck_alcotest.to_alcotest backoff_deterministic;
